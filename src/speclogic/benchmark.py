@@ -17,7 +17,7 @@ Philox generator, so every sample is replayable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -190,7 +190,7 @@ def predicted_classes(result: RunResult) -> list[str]:
     return sorted(n for n in result.derived.names if n.startswith(CLASS_PREFIX))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchmarkReport:
     """Aggregate outcome of a benchmark sweep."""
 
@@ -204,16 +204,7 @@ class BenchmarkReport:
     failures: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-            "accuracy": self.accuracy,
-            "traces_valid": self.traces_valid,
-            "elapsed_seconds": self.elapsed_seconds,
-            "confusion": self.confusion,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 def run_benchmark(

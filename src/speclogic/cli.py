@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .benchmark import REGIME_NAMES, reference_config, run_benchmark, synth_oscillator
 from .errors import InputError, NumericError
-from .pipeline import PipelineConfig, detect_anomalies, run
+from .pipeline import SIGNAL_BACKENDS, PipelineConfig, detect_anomalies, run
 from .rules import infer, load_rules, save_trace_json
 from .signal import TimeSeries, load_timeseries_csv, load_timeseries_json, save_timeseries_csv
 from .sparse import eval_spectrum, load_spectrum_json, save_spectrum_json
@@ -34,20 +35,17 @@ def _load_signal(path: str) -> TimeSeries:
 
 
 def _load_config(args) -> PipelineConfig:
-    if getattr(args, "config", None):
-        cfg = PipelineConfig.from_json_file(args.config)
-    else:
-        cfg = reference_config()
+    """The ``--config`` file (or the built-in one) with the ``--backend``,
+    ``--rules`` and ``--seed`` overrides of the subcommands that take them."""
+    cfg = PipelineConfig.from_json_file(args.config) if args.config else reference_config()
+    overrides = {}
     if getattr(args, "backend", None):
-        cfg.backend = args.backend
-        cfg.__post_init__()
+        overrides["backend"] = args.backend
     if getattr(args, "rules", None):
-        cfg.rules_path = args.rules
-        cfg.rules_text = None
-        cfg._ruleset = None
+        overrides.update(rules_path=args.rules, rules_text=None)
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    return cfg
+        overrides["seed"] = args.seed
+    return replace(cfg, **overrides)
 
 
 def _emit(payload, out: str | None) -> None:
@@ -159,11 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", help="pipeline config JSON (defaults to the built-in)")
-            p.add_argument("--backend", choices=("pade_z", "lanczos", "matrix_pencil"))
-            p.add_argument("--rules", help="override: rule file path")
+    def add_common(p):
+        p.add_argument("--config", help="pipeline config JSON (defaults to the built-in)")
+        p.add_argument("--backend", choices=SIGNAL_BACKENDS)
+        p.add_argument("--rules", help="override: rule file path")
         p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("estimate", help="signal -> Lorentzian atoms (JSON) + spectrum CSV")
@@ -177,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="atoms JSON -> predicate names")
     p.add_argument("--atoms", required=True)
     p.add_argument("--out")
-    add_common(p)
+    p.add_argument("--config", help="pipeline config JSON supplying the binning")
     p.set_defaults(fn=_cmd_project)
 
     p = sub.add_parser("reason", help="facts JSON + rules -> derived facts (+trace)")

@@ -14,9 +14,7 @@ found and is reported as a success, not an error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -108,16 +106,6 @@ class RitzSpectrum:
         if abs(float(w.sum()) - 1.0) > 1e-10:
             raise InputError(f"weights must sum to 1 (got {w.sum()!r})")
 
-    def to_dict(self) -> dict:
-        return {"lambdas": self.lambdas.tolist(), "weights": self.weights.tolist()}
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "RitzSpectrum":
-        try:
-            return cls(np.asarray(record["lambdas"], float), np.asarray(record["weights"], float))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad spectrum record: {exc}") from None
-
 
 def lanczos_tridiag(
     op: HermitianOp,
@@ -160,14 +148,15 @@ def lanczos_tridiag(
             tol = BREAKDOWN_RTOL * float(np.linalg.norm(w))
         alpha = float(q @ w)
         alphas.append(alpha)
+        if j == k - 1:
+            # all k steps done; a vanishing residual here is not early termination
+            break
         w = w - alpha * q - beta_prev * q_prev
         if reorthogonalize and j > 0:
             w -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ w)
         beta = float(np.linalg.norm(w))
         if beta <= tol:
             breakdown = True
-            break
-        if j == k - 1:
             break
         betas.append(beta)
         q_prev = q
@@ -214,31 +203,3 @@ def spectral_density(spec: RitzSpectrum, omega_grid, eta: float) -> np.ndarray:
     diff = grid[None, :] - spec.lambdas[:, None]
     kern = (eta / np.pi) / (diff**2 + eta**2)
     return spec.weights @ kern
-
-
-def load_matrix_json(path: str | Path) -> HermitianOp:
-    """Load a dense symmetric operator from a JSON nested list."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from None
-    return HermitianOp.from_dense(data)
-
-
-def load_matrix_csv(path: str | Path) -> HermitianOp:
-    """Load a dense symmetric operator from headerless CSV rows."""
-    path = Path(path)
-    rows = []
-    for i, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(f) for f in line.split(",")])
-        except ValueError:
-            raise InputError(f"{path}:{i}: non-numeric row") from None
-    if not rows:
-        raise InputError(f"{path}: empty matrix")
-    if len(set(len(r) for r in rows)) != 1:
-        raise InputError(f"{path}: ragged rows")
-    return HermitianOp.from_dense(np.asarray(rows))

@@ -78,21 +78,6 @@ class RationalApprox:
         """Roots of the denominator via companion-matrix eigenvalues."""
         return _polynomial_roots(self.denominator)
 
-    def to_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "a": self.a.tolist(), "b": self.b.tolist()}
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "RationalApprox":
-        try:
-            return cls(
-                np.asarray(record["a"], dtype=float),
-                np.asarray(record["b"], dtype=float),
-                int(record["m"]),
-                int(record["n"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad rational-approximant record: {exc}") from None
-
 
 @dataclass(frozen=True, eq=False)
 class PoleSet:

@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import json
 import math
-import time
-from dataclasses import dataclass, field, replace
+import types
+import typing
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -56,7 +58,9 @@ from .sparse import (
 )
 from .symbolic import BinningConfig, SymbolSet, project
 
-BACKENDS = ("pade_z", "lanczos", "matrix_pencil")
+#: Back-ends that estimate time series; ``lanczos`` takes operators instead.
+SIGNAL_BACKENDS = ("matrix_pencil", "pade_z")
+BACKENDS = (*SIGNAL_BACKENDS, "lanczos")
 
 MAX_PADE_ORDER = 64
 
@@ -110,12 +114,50 @@ class SparseSettings:
             raise ConfigError(f"nls_iters must be positive, got {self.nls_iters}")
 
 
-@dataclass
+def _matches(value, hint) -> bool:
+    """Whether a JSON value fits a field's type hint (ints count as floats)."""
+    if isinstance(hint, types.UnionType):
+        return any(_matches(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_matches(v, item) for v in value)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is type(None):
+        return value is None
+    return isinstance(value, hint)
+
+
+def _from_record(cls, record, where: str):
+    """Build the dataclass ``cls`` from a JSON object, recursing into fields
+    that are themselves dataclasses; omitted fields take their defaults."""
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(record).__name__}")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(record) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    values = {}
+    for key, value in record.items():
+        hint = hints[key]
+        if is_dataclass(hint):
+            value = _from_record(hint, value, f"{where}.{key}")
+        elif not _matches(value, hint):
+            raise ConfigError(f"{where}.{key}: {value!r} is not of type {hint}")
+        values[key] = value
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
     """Everything a run needs; serializable to a single JSON object.
 
     Rules come either from ``rules_path`` or inline ``rules_text`` (exactly
-    one must be set before running).
+    one must be set before running). Derive variants with
+    :func:`dataclasses.replace`; each instance parses its rules at most once.
     """
 
     binning: BinningConfig
@@ -131,7 +173,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
-        self._ruleset: RuleSet | None = None
+        # parsed-rules cache: not a field, so replace() and asdict() skip it
+        object.__setattr__(self, "_ruleset", None)
 
     def load_ruleset(self) -> RuleSet:
         """Parse (and cache) the configured rules; validates stratification."""
@@ -139,59 +182,20 @@ class PipelineConfig:
             if (self.rules_path is None) == (self.rules_text is None):
                 raise ConfigError("exactly one of rules_path or rules_text must be set")
             if self.rules_text is not None:
-                self._ruleset = parse_rules(self.rules_text)
+                ruleset = parse_rules(self.rules_text)
             else:
-                self._ruleset = load_rules(self.rules_path)
+                ruleset = load_rules(self.rules_path)
+            object.__setattr__(self, "_ruleset", ruleset)
         return self._ruleset
 
     def to_dict(self) -> dict:
-        return {
-            "preprocess": {
-                "window": self.preprocess.window,
-                "detrend": self.preprocess.detrend,
-                "zero_pad_to": self.preprocess.zero_pad_to,
-            },
-            "backend": self.backend,
-            "pade": {
-                "m": self.pade.m,
-                "n": self.pade.n,
-                "auto": self.pade.auto,
-                "n_max": self.pade.n_max,
-                "residual_tol": self.pade.residual_tol,
-            },
-            "lanczos": {
-                "k": self.lanczos.k,
-                "eta": self.lanczos.eta,
-                "reorthogonalize": self.lanczos.reorthogonalize,
-            },
-            "sparse": {
-                "k_max": self.sparse.k_max,
-                "sv_tol": self.sparse.sv_tol,
-                "nls_iters": self.sparse.nls_iters,
-                "omp_tol": self.sparse.omp_tol,
-            },
-            "binning": self.binning.to_dict(),
-            "rules_path": self.rules_path,
-            "rules_text": self.rules_text,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, record: dict) -> "PipelineConfig":
-        try:
-            return cls(
-                binning=BinningConfig.from_dict(record["binning"]),
-                preprocess=PreprocessConfig(**record.get("preprocess", {})),
-                backend=record.get("backend", "matrix_pencil"),
-                pade=PadeSettings(**record.get("pade", {})),
-                lanczos=LanczosSettings(**record.get("lanczos", {})),
-                sparse=SparseSettings(**record.get("sparse", {})),
-                rules_path=record.get("rules_path"),
-                rules_text=record.get("rules_text"),
-                seed=int(record.get("seed", 0)),
-            )
-        except TypeError as exc:
-            raise ConfigError(f"bad pipeline config: {exc}") from None
+        """Inverse of :meth:`to_dict`; rejects unknown keys and wrong types
+        at every level with :class:`ConfigError`."""
+        return _from_record(cls, record, "pipeline config")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PipelineConfig":
@@ -207,9 +211,7 @@ class RunResult:
     """All intermediates of one pipeline run.
 
     ``diagnostics`` holds per-stage counters and residuals and is part of
-    the serialized form; ``timings`` (seconds per stage) is informational
-    only and deliberately left out of serialization so that identical inputs
-    produce byte-identical output.
+    the serialized form.
     """
 
     atoms: SparseSpectrum
@@ -217,7 +219,6 @@ class RunResult:
     derived: SymbolSet
     trace: ProofTrace
     diagnostics: dict
-    timings: dict
 
     def to_dict(self) -> dict:
         return {
@@ -350,42 +351,39 @@ def _atoms_from_ritz(ritz: RitzSpectrum, eta: float, cfg: SparseSettings) -> Spa
     )
 
 
-class _StageTimer:
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-
-    def run(self, stage: str, fn, *args):
-        start = time.perf_counter()
-        try:
-            return fn(*args)
-        except SpecLogicError as exc:
-            if exc.stage is None:
-                exc.stage = stage
-            raise
-        finally:
-            self.timings[stage] = time.perf_counter() - start
+@contextmanager
+def _stage(name: str):
+    """Tag a library error escaping the block with the stage that raised it."""
+    try:
+        yield
+    except SpecLogicError as exc:
+        if exc.stage is None:
+            exc.stage = name
+        raise
 
 
 def _finish(
-    atoms: SparseSpectrum, cfg: PipelineConfig, timer: _StageTimer, diagnostics: dict
+    atoms: SparseSpectrum, cfg: PipelineConfig, ruleset: RuleSet, diagnostics: dict
 ) -> RunResult:
-    ruleset = timer.run("rules", cfg.load_ruleset)
-    predicates = timer.run("project", project, atoms, cfg.binning)
-    derived, trace = timer.run("infer", infer, ruleset, predicates)
+    with _stage("project"):
+        predicates = project(atoms, cfg.binning)
+    with _stage("infer"):
+        derived, trace = infer(ruleset, predicates)
     diagnostics["project"] = {"predicates": len(predicates.names)}
     diagnostics["infer"] = {"firings": len(trace), "derived": len(derived.names)}
-    return RunResult(atoms, predicates, derived, trace, diagnostics, timer.timings)
+    return RunResult(atoms, predicates, derived, trace, diagnostics)
 
 
 def run(x: TimeSeries, cfg: PipelineConfig) -> RunResult:
     """Execute the full pipeline on a time series."""
-    timer = _StageTimer()
-    diagnostics: dict = {}
-    timer.run("rules", cfg.load_ruleset)
-    pre = timer.run("preprocess", preprocess, x, cfg.preprocess)
-    diagnostics["preprocess"] = {"samples": len(pre)}
-    atoms = timer.run("estimate", _estimate, pre, cfg, diagnostics)
-    return _finish(atoms, cfg, timer, diagnostics)
+    with _stage("rules"):
+        ruleset = cfg.load_ruleset()
+    with _stage("preprocess"):
+        pre = preprocess(x, cfg.preprocess)
+    diagnostics: dict = {"preprocess": {"samples": len(pre)}}
+    with _stage("estimate"):
+        atoms = _estimate(pre, cfg, diagnostics)
+    return _finish(atoms, cfg, ruleset, diagnostics)
 
 
 def run_hermitian(op: HermitianOp, q1, cfg: PipelineConfig) -> RunResult:
@@ -398,22 +396,24 @@ def run_hermitian(op: HermitianOp, q1, cfg: PipelineConfig) -> RunResult:
         raise ConfigError(
             f"run_hermitian requires the lanczos backend, config says {cfg.backend!r}"
         )
-    timer = _StageTimer()
-    diagnostics: dict = {}
-    timer.run("rules", cfg.load_ruleset)
+    with _stage("rules"):
+        ruleset = cfg.load_ruleset()
     k = cfg.lanczos.k if cfg.lanczos.k is not None else op.dim
-    tri = timer.run(
-        "estimate", lanczos_tridiag, op, q1, k, cfg.lanczos.reorthogonalize
-    )
-    ritz = timer.run("estimate_eigen", tridiag_eigen, tri)
-    atoms = timer.run("decompose", _atoms_from_ritz, ritz, cfg.lanczos.eta, cfg.sparse)
-    diagnostics["estimate"] = {
-        "backend": "lanczos",
-        "steps": tri.k,
-        "breakdown": tri.breakdown,
-        "residual_norm": atoms.residual_norm,
+    with _stage("estimate"):
+        tri = lanczos_tridiag(op, q1, k, cfg.lanczos.reorthogonalize)
+    with _stage("estimate_eigen"):
+        ritz = tridiag_eigen(tri)
+    with _stage("decompose"):
+        atoms = _atoms_from_ritz(ritz, cfg.lanczos.eta, cfg.sparse)
+    diagnostics = {
+        "estimate": {
+            "backend": "lanczos",
+            "steps": tri.k,
+            "breakdown": tri.breakdown,
+            "residual_norm": atoms.residual_norm,
+        }
     }
-    return _finish(atoms, cfg, timer, diagnostics)
+    return _finish(atoms, cfg, ruleset, diagnostics)
 
 
 def detect_anomalies(
@@ -442,8 +442,3 @@ def detect_anomalies(
         if alert_head in result.derived.names:
             flagged.append((start, result))
     return flagged
-
-
-def window_count(n: int, window: int, stride: int) -> int:
-    """Number of windows examined by :func:`detect_anomalies`."""
-    return (n - window) // stride + 1

@@ -75,16 +75,6 @@ class BinAxis:
             return None
         return self.labels[idx]
 
-    def to_dict(self) -> dict:
-        return {"edges": list(self.edges), "labels": list(self.labels)}
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "BinAxis":
-        try:
-            return cls(tuple(record["edges"]), tuple(record["labels"]))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad bin-axis record: {exc}") from None
-
 
 @dataclass(frozen=True)
 class BinningConfig:
@@ -98,26 +88,6 @@ class BinningConfig:
     def __post_init__(self):
         if not self.negligible_eps > 0:
             raise InputError(f"negligible_eps must be positive, got {self.negligible_eps}")
-
-    def to_dict(self) -> dict:
-        return {
-            "omega_bins": self.omega_bins.to_dict(),
-            "gamma_bins": self.gamma_bins.to_dict(),
-            "amp_bins": self.amp_bins.to_dict(),
-            "negligible_eps": self.negligible_eps,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "BinningConfig":
-        try:
-            return cls(
-                BinAxis.from_dict(record["omega_bins"]),
-                BinAxis.from_dict(record["gamma_bins"]),
-                BinAxis.from_dict(record["amp_bins"]),
-                float(record["negligible_eps"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad binning record: {exc}") from None
 
 
 @dataclass(frozen=True)

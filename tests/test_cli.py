@@ -123,6 +123,38 @@ def test_backend_and_rules_overrides(workdir):
     assert record["diagnostics"]["estimate"]["backend"] == "pade_z"
 
 
+def test_lanczos_backend_rejected_by_parser(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--input", str(workdir / "sig.csv"), "--backend", "lanczos"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"colour": "blue"},
+        {"sparse": {"k_max": 3, "kmax": 3}},
+        {"pade": 5},
+        {"binning": {"omega_bins": "low"}},
+        {"seed": "seven"},
+    ],
+    ids=["unknown_key", "unknown_nested_key", "section_not_object", "axis_not_object",
+         "wrong_scalar_type"],
+)
+def test_malformed_config_exits_2(workdir, capsys, change):
+    record = reference_config().to_dict()
+    for key, value in change.items():
+        if isinstance(value, dict) and isinstance(record.get(key), dict):
+            record[key] = {**record[key], **value}
+        else:
+            record[key] = value
+    cfg_path = workdir / "cfg.json"
+    cfg_path.write_text(json.dumps(record))
+    assert main(["run", "--input", str(workdir / "sig.csv"), "--config", str(cfg_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     assert main(["run", "--input", str(tmp_path / "absent.csv")]) == 2
     assert "error" in capsys.readouterr().err

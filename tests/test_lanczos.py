@@ -10,7 +10,6 @@ from speclogic import (
     spectral_density,
     tridiag_eigen,
 )
-from speclogic.lanczos import load_matrix_csv, load_matrix_json
 
 
 def random_symmetric(rng, dim):
@@ -49,6 +48,14 @@ def test_eigenvector_start_breaks_down():
     t = lanczos_tridiag(HermitianOp.from_dense(h), np.array([0.0, 1.0, 0.0]), 3)
     assert t.k == 1 and t.breakdown
     assert t.alpha[0] == pytest.approx(5.0)
+
+
+def test_full_depth_is_not_a_breakdown():
+    rng = np.random.default_rng(7)
+    h = random_symmetric(rng, 12)
+    t = lanczos_tridiag(HermitianOp.from_dense(h), rng.standard_normal(12), 12)
+    assert t.k == 12
+    assert t.breakdown is False
 
 
 def test_start_vector_and_k_validation():
@@ -169,34 +176,9 @@ def test_ritz_spectrum_validation():
         RitzSpectrum(np.array([0.0, 1.0]), np.array([0.7, 0.7]))
 
 
-def test_ritz_spectrum_serialization_roundtrip():
-    spec = RitzSpectrum(np.array([-1.0, 2.0]), np.array([0.25, 0.75]))
-    back = RitzSpectrum.from_dict(spec.to_dict())
-    assert np.array_equal(back.lambdas, spec.lambdas)
-    assert np.array_equal(back.weights, spec.weights)
-
-
 def test_operator_from_matvec_callable():
     # matrix-free operator: diag(1..5) expressed as an action
     scale = np.arange(1.0, 6.0)
     op = HermitianOp(5, lambda v: scale * v)
     spec = tridiag_eigen(lanczos_tridiag(op, np.ones(5), 5))
     assert np.allclose(spec.lambdas, scale, atol=1e-10)
-
-
-def test_matrix_loaders(tmp_path):
-    path = tmp_path / "m.json"
-    path.write_text("[[1.0, 0.5], [0.5, 2.0]]")
-    op = load_matrix_json(path)
-    assert op.dim == 2
-    assert np.allclose(op.apply([1.0, 0.0]), [1.0, 0.5])
-
-    csv_path = tmp_path / "m.csv"
-    csv_path.write_text("1.0,0.5\n0.5,2.0\n")
-    op2 = load_matrix_csv(csv_path)
-    assert np.allclose(op2.apply([0.0, 1.0]), [0.5, 2.0])
-
-    bad = tmp_path / "bad.csv"
-    bad.write_text("1.0,2.0\n3.0,4.0\n")
-    with pytest.raises(InputError, match="symmetric"):
-        load_matrix_csv(bad)

@@ -177,10 +177,3 @@ def test_poles_sorted_by_real_then_imag():
     ps = extract_poles(RationalApprox(a, b, 2, 4))
     keys = [(z.real, z.imag) for z in ps.poles]
     assert keys == sorted(keys)
-
-
-def test_serialization_roundtrip():
-    r = fit_pade([1.0, 1.0, 0.5, 1.0 / 6.0], 1, 1)
-    back = RationalApprox.from_dict(r.to_dict())
-    assert back.m == r.m and back.n == r.n
-    assert np.allclose(back.a, r.a) and np.allclose(back.b, r.b)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -17,12 +18,7 @@ from speclogic import (
     run,
     run_hermitian,
 )
-from speclogic.pipeline import (
-    LanczosSettings,
-    PadeSettings,
-    SparseSettings,
-    window_count,
-)
+from speclogic.pipeline import LanczosSettings, PadeSettings, SparseSettings
 
 
 def damped_cosine(omega, gamma, n=256, dt=0.05, amp=1.0):
@@ -242,12 +238,6 @@ def test_detect_validates_window_and_stride():
         detect_anomalies(x, cfg, 128, 0, "anomaly")
 
 
-def test_window_count_formula():
-    assert window_count(512, 128, 16) == 25
-    assert window_count(512, 128, 128) == 4
-    assert window_count(10, 10, 3) == 1
-
-
 def test_auto_order_sweep_one_pole():
     series = 0.8 ** np.arange(30)
     sweep = auto_order_sweep(series, 6, 1e-8)
@@ -288,3 +278,31 @@ def test_config_validation():
     cfg = PipelineConfig(binning=wide_open_bins())
     with pytest.raises(ConfigError):
         cfg.load_ruleset()  # neither rules_path nor rules_text
+
+
+def test_config_is_frozen():
+    cfg = pencil_config("a => b\n")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.backend = "pade_z"
+
+
+def test_replace_parses_the_new_rules():
+    cfg = pencil_config("resonance_high => old_alert\n")
+    x = damped_cosine(2.0, 0.2)
+    assert "old_alert" in run(x, cfg).derived.names
+    swapped = dataclasses.replace(cfg, rules_text="resonance_high => new_alert\n")
+    derived = run(x, swapped).derived.names
+    assert "new_alert" in derived and "old_alert" not in derived
+
+
+def test_run_parses_rules_once(monkeypatch):
+    calls = []
+    original = PipelineConfig.load_ruleset
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PipelineConfig, "load_ruleset", counting)
+    run(damped_cosine(2.0, 0.2), pencil_config("resonance_high => alert\n"))
+    assert len(calls) == 1

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from speclogic import (
     BinningConfig,
     InputError,
     LorentzianAtom,
+    PipelineConfig,
     Predicate,
     SparseSpectrum,
     SymbolSet,
@@ -131,8 +134,9 @@ def test_predicate_name_grammar():
 
 
 def test_binning_serialization_roundtrip():
-    back = BinningConfig.from_dict(CFG.to_dict())
-    assert back == CFG
+    cfg = PipelineConfig(binning=CFG, rules_text="a => b\n")
+    back = PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert back.binning == CFG
 
 
 def test_symbolset_json_sorted_names():

@@ -57,6 +57,8 @@ def _emit(payload, out: str | None) -> None:
 
 
 def _cmd_estimate(args) -> int:
+    if args.grid_points < 2:
+        raise InputError(f"--grid-points must be at least 2, got {args.grid_points}")
     cfg = _load_config(args)
     x = _load_signal(args.input)
     result = run(x, cfg)
@@ -94,6 +96,8 @@ def _cmd_reason(args) -> int:
         names = json.loads(Path(args.facts).read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.facts}: invalid JSON ({exc})") from None
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise InputError(f"{args.facts}: expected a JSON list of predicate names")
     facts = SymbolSet.from_names(names)
     derived, trace = infer(rules, facts)
     _emit(derived.to_json(), args.out)

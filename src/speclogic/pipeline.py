@@ -292,7 +292,7 @@ def _signal_modes(rational: RationalApprox, poles: PoleSet) -> tuple[PoleSet, in
 
 def _estimate(x: TimeSeries, cfg: PipelineConfig, diagnostics: dict) -> SparseSpectrum:
     if cfg.backend == "matrix_pencil":
-        sp = fit_matrix_pencil(x, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol)
+        sp = fit_matrix_pencil(x, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
         diagnostics["estimate"] = {
             "backend": "matrix_pencil",
             "residual_norm": sp.residual_norm,
@@ -428,13 +428,19 @@ def detect_anomalies(
     Window starts are 0, stride, 2*stride, ... up to len(x)-window; every
     index reachable by the stride is examined. Returns (start, result)
     pairs, ordered by start, for windows whose derived facts contain
-    ``alert_head``.
+    ``alert_head``. The head must be a predicate that some configured rule
+    mentions (so never a malformed name), else :class:`InputError`: a
+    misspelt head would otherwise read as "no anomaly".
     """
     n = len(x)
     if not 2 <= window <= n:
         raise InputError(f"window must be in [2, {n}], got {window}")
     if stride < 1:
         raise InputError(f"stride must be positive, got {stride}")
+    with _stage("rules"):
+        ruleset = cfg.load_ruleset()
+    if alert_head not in ruleset.predicates():
+        raise InputError(f"no configured rule mentions the alert head {alert_head!r}")
     flagged = []
     for start in range(0, n - window + 1, stride):
         segment = TimeSeries(x.samples[start : start + window], x.dt, x.label)

@@ -40,6 +40,12 @@ MERGE_TOL = 1e-9
 #: Default relative singular-value cutoff for pencil order selection.
 SV_TOL_DEFAULT = 1e-8
 
+#: Sketch columns beyond ``max_modes`` in the pencil's randomized range finder.
+SKETCH_OVERSAMPLE = 10
+
+#: Power iterations of the pencil's randomized range finder.
+POWER_ITERATIONS = 2
+
 #: Poles with modulus at or above this are treated as nonphysical growth.
 UNSTABLE_MODULUS = 1.0
 
@@ -208,18 +214,47 @@ def atoms_from_poles(p: PoleSet, dt: float, residual_norm: float = 0.0) -> Spars
     return SparseSpectrum.from_atoms(atoms, residual_norm, dropped)
 
 
+def _leading_svd(hank: np.ndarray, width: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading ``width`` singular values and right singular vectors of
+    ``hank`` by a randomized range finder with power iterations (Halko,
+    Martinsson & Tropp, SIAM Rev. 2011, Alg. 4.4).
+
+    The Gaussian test matrix is drawn from ``seed``. Every product with
+    ``hank`` or its transpose is re-orthonormalized, so singular values far
+    below sigma_1 survive the power iterations. When ``width`` reaches
+    ``min(hank.shape)`` the sketch spans the whole range and the result is
+    the exact thin SVD.
+    """
+    test = np.random.default_rng(seed).standard_normal((hank.shape[1], width))
+    q, _ = np.linalg.qr(hank @ test)
+    for _ in range(POWER_ITERATIONS):
+        q, _ = np.linalg.qr(hank.T @ q)
+        q, _ = np.linalg.qr(hank @ q)
+    _, sv, vh = np.linalg.svd(q.T @ hank, full_matrices=False)
+    return sv, vh
+
+
 def fit_matrix_pencil(
     x: TimeSeries,
     max_modes: int,
     sv_tol: float = SV_TOL_DEFAULT,
+    seed: int = 0,
 ) -> SparseSpectrum:
     """Estimate damped modes from time samples by the Hankel matrix pencil.
 
     ``max_modes`` bounds the number of discrete-time poles (an oscillatory
-    atom consumes a conjugate pair, i.e. two). The model order is the number
-    of singular values with sigma_i/sigma_1 > ``sv_tol``, capped at
-    ``max_modes``. Amplitudes come from the least-squares Vandermonde solve
-    and map to atoms with the same convention as :func:`atoms_from_poles`.
+    atom consumes a conjugate pair, i.e. two). The leading singular triplets
+    of the Hankel matrix come from a randomized range finder of width
+    ``max_modes + SKETCH_OVERSAMPLE`` whose Gaussian test matrix is drawn
+    from ``seed``, so equal seeds give identical output. The model order is
+    the number of those singular values with sigma_i/sigma_1 > ``sv_tol``,
+    capped at ``max_modes``. Amplitudes come from the least-squares
+    Vandermonde solve and map to atoms with the same convention as
+    :func:`atoms_from_poles`.
+
+    The samples are divided by max|x| before any product is formed, so the
+    fit is scale invariant; mode coefficients and the residual norm are
+    reported at the input's scale.
     """
     n = len(x)
     if max_modes < 1:
@@ -228,17 +263,20 @@ def fit_matrix_pencil(
         raise InputError(
             f"need at least {2 * max_modes + 2} samples for {max_modes} modes, got {n}"
         )
-    s = x.samples
-    if np.linalg.norm(s) == 0:
+    scale = float(np.max(np.abs(x.samples)))
+    if scale == 0:
         return SparseSpectrum.from_atoms([], 0.0)
+    s = x.samples / scale
+    s_norm = float(np.linalg.norm(s)) * scale
 
     pencil = n // 2
     hank = scipy.linalg.hankel(s[: n - pencil], s[n - pencil - 1 :])  # (n-L, L+1)
-    _, sv, vh = np.linalg.svd(hank, full_matrices=False)
+    width = min(max_modes + SKETCH_OVERSAMPLE, min(hank.shape))
+    sv, vh = _leading_svd(hank, width, seed)
     order = int(np.count_nonzero(sv > sv_tol * sv[0]))
     order = min(order, max_modes, pencil)
     if order == 0:
-        return SparseSpectrum.from_atoms([], float(np.linalg.norm(s)))
+        return SparseSpectrum.from_atoms([], s_norm)
 
     w0 = vh[:order, :pencil]
     w1 = vh[:order, 1 : pencil + 1]
@@ -249,12 +287,12 @@ def fit_matrix_pencil(
     dropped = int(np.count_nonzero(np.abs(z) >= 1.05))
     z = z[np.abs(z) < 1.05]
     if z.size == 0:
-        return SparseSpectrum.from_atoms([], float(np.linalg.norm(s)), dropped)
+        return SparseSpectrum.from_atoms([], s_norm, dropped)
     vand = z[None, :] ** np.arange(n)[:, None]
     coeffs, *_ = np.linalg.lstsq(vand, s.astype(complex), rcond=None)
-    residual = float(np.linalg.norm(vand @ coeffs - s))
+    residual = float(np.linalg.norm(vand @ coeffs - s)) * scale
 
-    out = atoms_from_poles(PoleSet(z, coeffs), x.dt, residual)
+    out = atoms_from_poles(PoleSet(z, coeffs * scale), x.dt, residual)
     return replace(out, dropped=out.dropped + dropped)
 
 

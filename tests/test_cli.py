@@ -168,6 +168,29 @@ def test_bad_rules_exit_2(workdir, capsys):
     assert main(["reason", "--facts", str(preds), "--rules", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("facts", ["5", '{"a": 1}', '["a", 1]'])
+def test_reason_rejects_facts_not_a_list_of_names(workdir, capsys, facts):
+    rules = workdir / "rules.txt"
+    rules.write_text("a => b\n")
+    path = workdir / "facts.json"
+    path.write_text(facts)
+    assert main(["reason", "--facts", str(path), "--rules", str(rules)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["1", "-1"])
+def test_estimate_rejects_grid_points_below_2(workdir, capsys, points):
+    assert main(["estimate", "--input", str(workdir / "sig.csv"),
+                 "--spectrum-out", str(workdir / "spec.csv"), "--grid-points", points]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_detect_rejects_unknown_alert_head(workdir, capsys):
+    assert main(["detect", "--input", str(workdir / "sig.csv"), "--window", "128",
+                 "--stride", "64", "--alert", "Bad-Name"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_numeric_failure_exits_3(tmp_path, capsys):
     # an unsatisfiable moment system in the pade_z backend is a numeric error
     sig = tmp_path / "sig.csv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -16,7 +18,7 @@ from speclogic import (
     fit_omp,
     refine_nls,
 )
-from speclogic.sparse import lorentzian_model_jacobian
+from speclogic.sparse import SKETCH_OVERSAMPLE, lorentzian_model_jacobian
 
 
 def damped_cosines(modes, n=600, dt=0.05):
@@ -137,6 +139,61 @@ def test_pencil_zero_signal():
 def test_pencil_too_short():
     with pytest.raises(InputError):
         fit_matrix_pencil(TimeSeries(np.ones(9), 0.1), 4)
+
+
+def pencil_no_warnings(samples, max_modes=8, dt=0.05, seed=0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sp = fit_matrix_pencil(TimeSeries(samples, dt), max_modes, seed=seed)
+    assert np.isfinite(sp.residual_norm)
+    return sp
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_pencil_is_scale_invariant(scale):
+    x = damped_cosines([(3.0, 0.1, 1.0)], n=384)
+    scaled = pencil_no_warnings(scale * x.samples)
+    assert len(scaled.atoms) == 1
+    atom = scaled.atoms[0]
+    assert atom.omega == pytest.approx(3.0, rel=1e-8)
+    assert atom.gamma == pytest.approx(0.1, rel=1e-8)
+    assert atom.amp == pytest.approx(scale * expected_amp(3.0, 0.1, 1.0), rel=1e-8)
+    assert scaled.residual_norm <= 1e-10 * scale * np.linalg.norm(x.samples)
+
+
+@pytest.mark.parametrize("omega", [0.0, np.pi / 0.05], ids=["constant", "nyquist"])
+def test_pencil_undamped_edge_modes(omega):
+    # |z| = 1 exactly, so rounding decides whether the mode is kept as a
+    # near-zero-width atom or dropped as unstable; it is never lost silently
+    sp = pencil_no_warnings(np.cos(omega * 0.05 * np.arange(384)))
+    assert len(sp.atoms) + sp.dropped >= 1
+    assert all(at.omega == pytest.approx(omega, abs=1e-6) for at in sp.atoms)
+    assert sp.residual_norm <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [np.eye(1, 384, 100)[0], np.random.default_rng(4).standard_normal(384)],
+    ids=["spike", "white_noise"],
+)
+def test_pencil_flat_singular_spectrum(samples):
+    # every singular value is alike, so the sketch may pick another subspace
+    # than the exact SVD would: only validity and silence are asserted
+    assert len(pencil_no_warnings(samples).atoms) <= 8
+
+
+def test_pencil_minimum_length_sketch_is_exact():
+    max_modes = 8
+    n = 2 * max_modes + 2
+    assert max_modes + SKETCH_OVERSAMPLE >= n // 2  # width covers min(hank.shape)
+    x = damped_cosines([(2.0, 0.5, 1.0)], n=n)
+    for seed in range(5):
+        sp = pencil_no_warnings(x.samples, max_modes, seed=seed)
+        assert len(sp.atoms) == 1
+        atom = sp.atoms[0]
+        assert atom.omega == pytest.approx(2.0, rel=1e-8)
+        assert atom.gamma == pytest.approx(0.5, rel=1e-8)
+        assert atom.amp == pytest.approx(1.0, rel=1e-8)
 
 
 def test_pencil_multimode_recovery():

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import IllConditionedError, InputError, PoleProximityError
 
@@ -29,17 +31,10 @@ MULTIPLE_POLE_TOL = 1e-8
 POLE_PROXIMITY_TOL = 1e-12
 
 
-def _horner(coeffs: np.ndarray, s: complex) -> np.complex128:
-    """Evaluate a polynomial with ascending coefficients at ``s``.
-
-    Works in numpy complex so division by an exact zero downstream yields
-    inf/nan rather than raising.
-    """
-    acc = np.complex128(0.0)
-    s = np.complex128(s)
-    for c in coeffs[::-1]:
-        acc = acc * s + c
-    return acc
+def _horner(coeffs: np.ndarray, s):
+    """Evaluate a polynomial with ascending coefficients at ``s`` (a point
+    or an array of points) by Horner's scheme."""
+    return np.polyval(coeffs[::-1], s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +115,12 @@ def _polynomial_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
 def fit_pade(c, m: int, n: int) -> RationalApprox:
     """Fit the [m/n] approximant to series coefficients ``c``.
 
+    The n x n moment matrix is a Toeplitz matrix (``scipy.linalg.toeplitz``)
+    over a copy of c_0..c_{m+n} padded with n leading zeros, which supplies
+    c_k = 0 for k < 0 when m < n; it is solved by least squares. The
+    numerator is the convolution of 1, b_1..b_n with c_0..c_m, truncated to
+    m+1 terms.
+
     Requires at least m+n+1 coefficients. Raises
     :class:`~speclogic.errors.IllConditionedError` when the moment system
     cannot be solved to residual 1e-6*||c|| even in the least-squares sense.
@@ -139,11 +140,9 @@ def fit_pade(c, m: int, n: int) -> RationalApprox:
     if n == 0:
         return RationalApprox(used[: m + 1].copy(), np.empty(0), m, n)
 
-    rows = np.empty((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            k = m + i - j
-            rows[i - 1, j - 1] = c[k] if k >= 0 else 0.0
+    # rows[i-1, j-1] = c[m+i-j] for i, j = 1..n; padded[k + n] = c[k], 0 for k < 0
+    padded = np.concatenate((np.zeros(n), used))
+    rows = scipy.linalg.toeplitz(padded[m + n : m + 2 * n], padded[m + 1 : m + n + 1][::-1])
     rhs = -c[m + 1 : m + n + 1]
     b, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     residual = float(np.linalg.norm(rows @ b - rhs))
@@ -153,25 +152,23 @@ def fit_pade(c, m: int, n: int) -> RationalApprox:
             residual,
         )
 
-    b_full = np.concatenate(([1.0], b))
-    a = np.array(
-        [sum(b_full[j] * c[k - j] for j in range(0, min(k, n) + 1)) for k in range(m + 1)]
-    )
+    a = np.convolve(np.concatenate(([1.0], b)), c[: m + 1])[: m + 1]
     return RationalApprox(a, b, m, n)
 
 
 def taylor_coefficients(r: RationalApprox, count: int) -> np.ndarray:
     """First ``count`` Taylor coefficients of a/b around s = 0.
 
-    Uses the division recurrence d_k = a_k - sum_{j>=1} b_j d_{k-j}, which is
-    exact because the denominator has unit constant term.
+    The division recurrence d_k = a_k - sum_{j=1..n} b_j d_{k-j} is forward
+    substitution with the count x count lower-triangular banded Toeplitz
+    matrix whose diagonals are 1, b_1..b_n; LAPACK ``dtbtrs`` solves it in
+    O(count*n) without pivoting (the unit diagonal needs none). Overflow
+    gives inf/nan entries and no floating-point warning.
     """
-    d = np.zeros(count)
-    for k in range(count):
-        acc = r.a[k] if k <= r.m else 0.0
-        for j in range(1, min(k, r.n) + 1):
-            acc -= r.b[j - 1] * d[k - j]
-        d[k] = acc
+    band = np.repeat(r.denominator[:, None], count, axis=1)
+    rhs = np.zeros(count)
+    rhs[: r.m + 1] = r.a[:count]
+    d, _ = dtbtrs(band, rhs, uplo="L", diag="U")
     return d
 
 
@@ -203,7 +200,7 @@ def extract_poles(r: RationalApprox) -> PoleSet:
     q = r.denominator
     dq = q[1:] * np.arange(1, q.size)  # derivative, ascending coefficients
     with np.errstate(divide="ignore", invalid="ignore"):
-        residues = np.array([_horner(r.a, z) / _horner(dq, z) for z in roots])
+        residues = _horner(r.a, roots) / _horner(dq, roots)
 
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError, IllConditionedError, InputError, SpecLogicError
 from .lanczos import HermitianOp, RitzSpectrum, lanczos_tridiag, spectral_density, tridiag_eigen
@@ -235,19 +236,25 @@ class RunResult:
 
 
 class SweepResult(NamedTuple):
-    """Outcome of the automatic order sweep."""
+    """Outcome of the automatic order sweep.
+
+    ``rational`` is the fit of the chosen order, or None when that order's
+    moment system was ill-conditioned or the series is all zero.
+    """
 
     m: int
     n: int
     residual: float
     converged: bool
+    rational: RationalApprox | None = None
 
 
 def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
     """Pick rational orders by increasing n (with m = n-1) until the
     re-expansion of the fit reproduces the whole available series to
     ``residual_tol`` (relative). Falls back to the minimal-residual order
-    with ``converged=False`` when no order reaches the tolerance.
+    with ``converged=False`` when no order reaches the tolerance. A
+    re-expansion that overflows counts as an infinite residual.
     """
     c = np.asarray(c, dtype=float)
     if n_max < 1:
@@ -264,7 +271,12 @@ def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
             candidate = SweepResult(m, n, exc.residual / scale, False)
         else:
             tail = taylor_coefficients(r, c.size)
-            candidate = SweepResult(m, n, float(np.linalg.norm(tail - c)) / scale, False)
+            # BLAS nrm2 scales as it sums, so a huge but finite tail gives a
+            # finite norm; a tail that overflowed (inf/nan) counts as inf.
+            residual = float(scipy.linalg.norm(tail - c, check_finite=False)) / scale
+            if not math.isfinite(residual):
+                residual = math.inf
+            candidate = SweepResult(m, n, residual, False, r)
         if candidate.residual <= residual_tol:
             return candidate._replace(converged=True)
         if best is None or candidate.residual < best.residual:
@@ -272,22 +284,21 @@ def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
     return best
 
 
-def _signal_modes(rational: RationalApprox, poles: PoleSet) -> tuple[PoleSet, int]:
+def _signal_modes(poles: PoleSet, scale: float) -> tuple[PoleSet, int]:
     """Invert approximant poles into per-sample mode bases with coefficients.
 
     F(z) ~ r/(z - p) contributes (-r/p) * (1/p)^n to sample n, so the mode
-    base is z = 1/p with coefficient c = -r/p. Poles at the origin carry no
-    mode and are dropped.
+    base is z = 1/p with coefficient c = -r/p, multiplied by ``scale`` (the
+    factor the series was divided by). Poles at the origin carry no mode and
+    are dropped. A residue that is not finite (a multiple pole) or a
+    coefficient that overflows gives a non-finite coefficient, which
+    :func:`atoms_from_poles` drops.
     """
-    zs, cs = [], []
-    dropped = 0
-    for p, r in zip(poles.poles, poles.residues):
-        if abs(p) < 1e-12:
-            dropped += 1
-            continue
-        zs.append(1.0 / p)
-        cs.append(-r / p)
-    return PoleSet(np.asarray(zs, complex), np.asarray(cs, complex)), dropped
+    keep = np.abs(poles.poles) >= 1e-12
+    p, r = poles.poles[keep], poles.residues[keep]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = -r / p * scale
+    return PoleSet(1.0 / p, coeffs), int(np.count_nonzero(~keep))
 
 
 def _estimate(x: TimeSeries, cfg: PipelineConfig, diagnostics: dict) -> SparseSpectrum:
@@ -300,22 +311,31 @@ def _estimate(x: TimeSeries, cfg: PipelineConfig, diagnostics: dict) -> SparseSp
         }
         return sp
     if cfg.backend == "pade_z":
-        c = x.samples
+        # Fit the series divided by the power of two at or below max|x|, so no
+        # power of a 1e300 signal overflows and a 1e-300 one is not read as
+        # zero. Division by a power of two is exact: at ordinary scale every
+        # rounding, and so every chosen order, is what the unscaled fit gives.
+        scale = 2.0 ** (math.frexp(float(np.max(np.abs(x.samples))))[1] - 1)
+        c = x.samples / scale
+        rational = None
         if cfg.pade.auto:
             sweep = auto_order_sweep(c, cfg.pade.n_max, cfg.pade.residual_tol)
-            m, n = sweep.m, sweep.n
+            m, n, rational = sweep.m, sweep.n, sweep.rational
             order_diag = {"auto": True, "residual": sweep.residual, "converged": sweep.converged}
         else:
             m, n = cfg.pade.m, cfg.pade.n
             order_diag = {"auto": False}
-        rational = fit_pade(c, m, n)
-        modes, pre_dropped = _signal_modes(rational, extract_poles(rational))
+        if rational is None:
+            rational = fit_pade(c, m, n)
+        poles = extract_poles(rational)
+        modes, pre_dropped = _signal_modes(poles, scale)
         sp = atoms_from_poles(modes, x.dt)
         sp = replace(sp, dropped=sp.dropped + pre_dropped)
         diagnostics["estimate"] = {
             "backend": "pade_z",
             "orders": [m, n],
             "dropped": sp.dropped,
+            "multiple_poles": poles.multiple_poles,
             **order_diag,
         }
         return sp

@@ -186,6 +186,20 @@ def eval_spectrum(sp: SparseSpectrum, omega):
     return total
 
 
+def _pole_atom(z: complex, res: complex, dt: float) -> tuple[float, float, float] | None:
+    """(omega, gamma, amp) of the atom pole ``z`` with residue ``res`` maps
+    to, or None when it maps to none: |z| >= UNSTABLE_MODULUS, |z| < 1e-12,
+    or an amplitude that is zero or not finite."""
+    mod = abs(z)
+    if mod >= UNSTABLE_MODULUS or mod < 1e-12:
+        return None
+    gamma = -math.log(mod) / dt
+    amp = abs(res) / gamma
+    if amp <= 0 or not math.isfinite(amp):
+        return None
+    return math.atan2(z.imag, z.real) / dt, gamma, amp
+
+
 def atoms_from_poles(p: PoleSet, dt: float, residual_norm: float = 0.0) -> SparseSpectrum:
     """Map stable discrete-time poles to Lorentzian atoms.
 
@@ -198,19 +212,13 @@ def atoms_from_poles(p: PoleSet, dt: float, residual_norm: float = 0.0) -> Spars
     atoms: list[LorentzianAtom] = []
     dropped = 0
     for z, res in zip(p.poles, p.residues):
-        mod = abs(z)
         if z.imag < 0:
             continue  # conjugate partner, already represented
-        if mod >= UNSTABLE_MODULUS or mod < 1e-12:
+        params = _pole_atom(z, res, dt)
+        if params is None:
             dropped += 1
-            continue
-        gamma = -math.log(mod) / dt
-        omega = math.atan2(z.imag, z.real) / dt
-        amp = abs(res) / gamma
-        if amp <= 0 or not math.isfinite(amp):
-            dropped += 1
-            continue
-        atoms.append(LorentzianAtom(omega, gamma, amp))
+        else:
+            atoms.append(LorentzianAtom(*params))
     return SparseSpectrum.from_atoms(atoms, residual_norm, dropped)
 
 
@@ -290,9 +298,14 @@ def fit_matrix_pencil(
         return SparseSpectrum.from_atoms([], s_norm, dropped)
     vand = z[None, :] ** np.arange(n)[:, None]
     coeffs, *_ = np.linalg.lstsq(vand, s.astype(complex), rcond=None)
-    residual = float(np.linalg.norm(vand @ coeffs - s)) * scale
+    modes = PoleSet(z, coeffs * scale)
 
-    out = atoms_from_poles(PoleSet(z, coeffs * scale), x.dt, residual)
+    # The residual counts only the modes that become atoms (with their
+    # conjugate partners): a fit whose every mode is dropped explains nothing.
+    kept = np.array([_pole_atom(zk, ck, x.dt) is not None for zk, ck in zip(z, modes.residues)])
+    residual = float(np.linalg.norm(vand @ np.where(kept, coeffs, 0) - s)) * scale
+
+    out = atoms_from_poles(modes, x.dt, residual)
     return replace(out, dropped=out.dropped + dropped)
 
 

@@ -1,16 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from speclogic import (
+    BinAxis,
+    BinningConfig,
     IllConditionedError,
     InputError,
+    PipelineConfig,
     PoleProximityError,
     RationalApprox,
+    TimeSeries,
     eval_rational,
     extract_poles,
     fit_pade,
+    run,
 )
 from speclogic.pade import taylor_coefficients
+from speclogic.pipeline import PadeSettings
 
 
 def random_rational(rng, m, n):
@@ -177,3 +185,126 @@ def test_poles_sorted_by_real_then_imag():
     ps = extract_poles(RationalApprox(a, b, 2, 4))
     keys = [(z.real, z.imag) for z in ps.poles]
     assert keys == sorted(keys)
+
+
+# ---- the rewritten kernels against plain-Python copies of the old loops ----
+
+
+def taylor_oracle(a, b, count):
+    """Division recurrence d_k = a_k - sum_{j=1..n} b_j d_{k-j}, one term at a time."""
+    d = [0.0] * count
+    for k in range(count):
+        acc = float(a[k]) if k < len(a) else 0.0
+        for j in range(1, min(k, len(b)) + 1):
+            acc -= float(b[j - 1]) * d[k - j]
+        d[k] = acc
+    return np.array(d)
+
+
+def moment_oracle(c, m, n):
+    """Moment matrix rows[i-1, j-1] = c[m+i-j] (0 for m+i-j < 0), by loops."""
+    rows = np.zeros((n, n))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if m + i - j >= 0:
+                rows[i - 1, j - 1] = c[m + i - j]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "m, n, count",
+    [(4, 2, 30), (3, 3, 30), (1, 4, 30), (0, 3, 25), (3, 0, 12), (0, 0, 5), (5, 2, 4), (4, 3, 1), (2, 2, 0)],
+    ids=["m>n", "m=n", "m<n", "m=0", "n=0", "n=m=0", "count<=m", "count=1", "count=0"],
+)
+def test_taylor_coefficients_match_recurrence(m, n, count):
+    rng = np.random.default_rng(100 * m + 10 * n + count)
+    for _ in range(10):
+        a, b = random_rational(rng, m, n)
+        got = taylor_coefficients(RationalApprox(a, b, m, n), count)
+        want = taylor_oracle(a, b, count)
+        assert got.shape == (count,)
+        scale = max(1.0, float(np.max(np.abs(want)))) if count else 1.0
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (1, 4), (2, 2), (4, 1)])
+def test_fit_pade_moment_matrix(m, n):
+    # for m < n the moment matrix reaches c_k with k < 0, which must be zero
+    rng = np.random.default_rng(10 * m + n)
+    for _ in range(10):
+        a, b = random_rational(rng, m, n)
+        c = series_of(a, b, m + n + 1)
+        fit = fit_pade(c, m, n)
+        rows = moment_oracle(c, m, n)
+        assert np.linalg.norm(rows @ fit.b + c[m + 1 : m + n + 1]) <= 1e-10 * np.linalg.norm(c)
+        np.testing.assert_allclose(fit.b, b, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(fit.a, a, rtol=1e-8, atol=1e-10)
+        # numerator: a_k = sum_{j=0..min(k,n)} b_j c_{k-j} with b_0 = 1
+        b_full = np.concatenate(([1.0], fit.b))
+        numerator = [sum(b_full[j] * c[k - j] for j in range(min(k, n) + 1)) for k in range(m + 1)]
+        np.testing.assert_allclose(fit.a, numerator, rtol=1e-12, atol=1e-14)
+
+
+def test_extract_poles_residues_match_pointwise_horner():
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        m, n = int(rng.integers(0, 5)), int(rng.integers(1, 6))
+        a, b = random_rational(rng, m, n)
+        ps = extract_poles(RationalApprox(a, b, m, n))
+        dq = np.concatenate(([1.0], b))[1:] * np.arange(1, n + 1)
+        for z, r in zip(ps.poles, ps.residues):
+            num = sum(coef * z**k for k, coef in enumerate(a))
+            den = sum(coef * z**k for k, coef in enumerate(dq))
+            assert r == pytest.approx(num / den, rel=1e-10)
+
+
+def pade_auto_config():
+    return PipelineConfig(
+        binning=BinningConfig(
+            omega_bins=BinAxis((0.0, 1.0), ("low", "high")),
+            gamma_bins=BinAxis((0.0, 0.5), ("narrow", "wide")),
+            amp_bins=BinAxis((0.0,), ("any",)),
+            negligible_eps=1e-6,
+        ),
+        backend="pade_z",
+        pade=PadeSettings(auto=True, n_max=8),
+        rules_text="resonance_high => alert\n",
+    )
+
+
+def adversarial_series():
+    rng = np.random.default_rng(5)
+    t = np.arange(256) * 0.05
+    mode = np.exp(-0.2 * t) * np.cos(3.0 * t)
+    return {
+        "noisy": mode + 0.5 * rng.standard_normal(t.size),
+        "white_noise": rng.standard_normal(t.size),
+        "growing": np.exp(0.05 * np.arange(t.size)),
+        "growing_oscillation": np.exp(0.3 * t) * np.cos(2.0 * t),
+        "scaled_1e300": 1e300 * mode,
+        "noisy_1e300": 1e300 * (mode + 0.5 * rng.standard_normal(t.size)),
+        "scaled_1e-300": 1e-300 * mode,
+    }
+
+
+@pytest.mark.parametrize("name", list(adversarial_series()))
+def test_pade_auto_emits_no_runtime_warning(name):
+    x = TimeSeries(adversarial_series()[name], 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run(x, pade_auto_config())
+    assert result.diagnostics["estimate"]["auto"]
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_pade_z_is_scale_invariant(scale):
+    t = np.arange(256) * 0.05
+    mode = np.exp(-0.2 * t) * np.cos(3.0 * t)
+    plain = run(TimeSeries(mode, 0.05), pade_auto_config())
+    scaled = run(TimeSeries(scale * mode, 0.05), pade_auto_config())
+    assert scaled.diagnostics["estimate"]["orders"] == plain.diagnostics["estimate"]["orders"]
+    assert len(scaled.atoms.atoms) == len(plain.atoms.atoms) == 1
+    got, want = scaled.atoms.atoms[0], plain.atoms.atoms[0]
+    assert got.omega == pytest.approx(want.omega, rel=1e-8)
+    assert got.gamma == pytest.approx(want.gamma, rel=1e-8)
+    assert got.amp == pytest.approx(scale * want.amp, rel=1e-8)

@@ -9,6 +9,7 @@ from speclogic import (
     BinningConfig,
     ConfigError,
     HermitianOp,
+    IllConditionedError,
     InputError,
     PipelineConfig,
     TimeSeries,
@@ -19,6 +20,8 @@ from speclogic import (
     run_hermitian,
 )
 from speclogic.benchmark import REGIME_NAMES, reference_config, synth_oscillator
+from speclogic import pipeline
+from speclogic.pade import PoleSet
 from speclogic.pipeline import LanczosSettings, PadeSettings, SparseSettings
 
 
@@ -287,6 +290,86 @@ def test_auto_order_sweep_noise_falls_back():
     sweep = auto_order_sweep(rng.standard_normal(40), 4, 1e-8)
     assert not sweep.converged
     assert 1 <= sweep.n <= 4
+
+
+def test_auto_order_sweep_nan_residual_is_never_best(monkeypatch):
+    # an order whose re-expansion overflows to NaN must lose to any finite one
+    original = pipeline.taylor_coefficients
+
+    def nan_at_order_one(r, count):
+        d = original(r, count)
+        return np.full(count, np.nan) if r.n == 1 else d
+
+    monkeypatch.setattr(pipeline, "taylor_coefficients", nan_at_order_one)
+    rng = np.random.default_rng(0)
+    sweep = auto_order_sweep(rng.standard_normal(40), 4, 1e-8)
+    assert sweep.n != 1
+    assert np.isfinite(sweep.residual)
+
+
+def test_auto_order_sweep_returns_the_winning_fit():
+    series = 0.8 ** np.arange(30)
+    sweep = auto_order_sweep(series, 6, 1e-8)
+    direct = pipeline.fit_pade(series, sweep.m, sweep.n)
+    assert (sweep.rational.m, sweep.rational.n) == (sweep.m, sweep.n)
+    assert np.array_equal(sweep.rational.a, direct.a)
+    assert np.array_equal(sweep.rational.b, direct.b)
+
+
+def test_pade_auto_fits_each_order_once(monkeypatch):
+    calls = []
+    original = pipeline.fit_pade
+
+    def counted(c, m, n):
+        calls.append((m, n))
+        return original(c, m, n)
+
+    monkeypatch.setattr(pipeline, "fit_pade", counted)
+    cfg = PipelineConfig(
+        binning=wide_open_bins(),
+        backend="pade_z",
+        pade=PadeSettings(auto=True, n_max=6, residual_tol=1e-8),
+        rules_text="resonance_high => alert\n",
+    )
+    result = run(damped_cosine(2.6, 0.15), cfg)
+    assert result.diagnostics["estimate"]["orders"] == [1, 2]
+    assert calls == [(0, 1), (1, 2)]
+
+
+def test_pade_auto_ill_conditioned_best_raises():
+    # the sweep's best order [0/1] meets c_0 = 0 with c_1 != 0: its moment
+    # system has no solution, so the run must fail with that typed error
+    series = [0.0, -1.0, -1.0, -1.0, -1.0, 1.0, 0.0]
+    sweep = auto_order_sweep(series, 8, 1e-8)
+    assert (sweep.m, sweep.n, sweep.rational) == (0, 1, None)
+    cfg = PipelineConfig(
+        binning=wide_open_bins(),
+        backend="pade_z",
+        pade=PadeSettings(auto=True, n_max=8, residual_tol=1e-8),
+        rules_text="resonance_high => alert\n",
+    )
+    with pytest.raises(IllConditionedError) as err:
+        run(TimeSeries(np.array(series), 0.05), cfg)
+    assert err.value.stage == "estimate"
+
+
+@pytest.mark.parametrize("multiple", [False, True])
+def test_pade_diagnostics_carry_multiple_poles(monkeypatch, multiple):
+    original = pipeline.extract_poles
+
+    def flagged(r):
+        ps = original(r)
+        return PoleSet(ps.poles, ps.residues, multiple)
+
+    monkeypatch.setattr(pipeline, "extract_poles", flagged)
+    cfg = PipelineConfig(
+        binning=wide_open_bins(),
+        backend="pade_z",
+        pade=PadeSettings(m=1, n=2),
+        rules_text="resonance_high => alert\n",
+    )
+    result = run(damped_cosine(2.6, 0.15), cfg)
+    assert result.diagnostics["estimate"]["multiple_poles"] is multiple
 
 
 def test_config_json_roundtrip(tmp_path):

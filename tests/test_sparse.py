@@ -164,11 +164,29 @@ def test_pencil_is_scale_invariant(scale):
 @pytest.mark.parametrize("omega", [0.0, np.pi / 0.05], ids=["constant", "nyquist"])
 def test_pencil_undamped_edge_modes(omega):
     # |z| = 1 exactly, so rounding decides whether the mode is kept as a
-    # near-zero-width atom or dropped as unstable; it is never lost silently
-    sp = pencil_no_warnings(np.cos(omega * 0.05 * np.arange(384)))
+    # near-zero-width atom or dropped as unstable; it is never lost silently,
+    # and a dropped mode leaves the whole signal in the residual
+    x = np.cos(omega * 0.05 * np.arange(384))
+    sp = pencil_no_warnings(x)
     assert len(sp.atoms) + sp.dropped >= 1
     assert all(at.omega == pytest.approx(omega, abs=1e-6) for at in sp.atoms)
-    assert sp.residual_norm <= 1e-8
+    if sp.atoms:
+        assert sp.residual_norm <= 1e-8
+    else:
+        assert sp.residual_norm == pytest.approx(np.linalg.norm(x), rel=1e-9)
+
+
+def test_pencil_residual_counts_only_kept_modes():
+    # a growing mode (|z| = 1.002 < 1.05) enters the Vandermonde solve but
+    # becomes no atom, so what it explains stays in the residual
+    n = np.arange(384)
+    stable = np.exp(-0.01 * n) * np.cos(0.9 * n)
+    growing = 1.002**n * np.cos(2.1 * n)
+    sp = pencil_no_warnings(stable + growing, max_modes=4, dt=1.0)
+    assert len(sp.atoms) == 1
+    assert sp.atoms[0].omega == pytest.approx(0.9, rel=1e-8)
+    assert sp.dropped == 1
+    assert sp.residual_norm == pytest.approx(np.linalg.norm(growing), rel=1e-6)
 
 
 @pytest.mark.parametrize(

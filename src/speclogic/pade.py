@@ -24,8 +24,9 @@ from .errors import IllConditionedError, InputError, PoleProximityError
 #: Solver residuals above this fraction of ||c|| are reported as failures.
 MOMENT_RESIDUAL_RTOL = 1e-6
 
-#: Two denominator roots closer than this are flagged as a multiple pole.
-MULTIPLE_POLE_TOL = 1e-8
+#: Two denominator roots closer than this, relative to the larger modulus,
+#: are flagged as a multiple pole.
+MULTIPLE_POLE_RTOL = 1e-6
 
 #: Evaluation refuses points within this distance of a denominator root.
 POLE_PROXIMITY_TOL = 1e-12
@@ -78,9 +79,9 @@ class RationalApprox:
 class PoleSet:
     """Poles and matching residues, sorted by (real, imaginary) part.
 
-    ``multiple_poles`` is set when two roots lie within 1e-8 of each other;
-    residues are then computed by the simple-pole formula regardless and
-    should be treated with suspicion.
+    ``multiple_poles`` is set when two roots lie within 1e-6 of each other,
+    relative to the larger modulus; residues are then computed by the
+    simple-pole formula regardless and should be treated with suspicion.
     """
 
     poles: np.ndarray
@@ -136,7 +137,7 @@ def fit_pade(c, m: int, n: int) -> RationalApprox:
         raise InputError("series coefficients must be finite")
 
     used = c[: m + n + 1]
-    scale = float(np.linalg.norm(used))
+    scale = float(scipy.linalg.norm(used, check_finite=False))
     if n == 0:
         return RationalApprox(used[: m + 1].copy(), np.empty(0), m, n)
 
@@ -145,7 +146,7 @@ def fit_pade(c, m: int, n: int) -> RationalApprox:
     rows = scipy.linalg.toeplitz(padded[m + n : m + 2 * n], padded[m + 1 : m + n + 1][::-1])
     rhs = -c[m + 1 : m + n + 1]
     b, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    residual = float(np.linalg.norm(rows @ b - rhs))
+    residual = float(scipy.linalg.norm(rows @ b - rhs, check_finite=False))
     if residual > MOMENT_RESIDUAL_RTOL * scale:
         raise IllConditionedError(
             f"moment system for [{m}/{n}] is singular beyond least-squares rescue",
@@ -188,8 +189,8 @@ def extract_poles(r: RationalApprox) -> PoleSet:
     """Poles of the approximant with residues P(s_k)/Q'(s_k).
 
     Roots come from the companion matrix of the denominator. An order-0
-    denominator yields an empty pole set. Roots closer than 1e-8 raise the
-    ``multiple_poles`` flag on the result instead of failing.
+    denominator yields an empty pole set. Roots closer than 1e-6 relative
+    raise the ``multiple_poles`` flag on the result instead of failing.
     """
     if r.n == 0:
         return PoleSet(np.empty(0, complex), np.empty(0, complex))
@@ -210,5 +211,6 @@ def extract_poles(r: RationalApprox) -> PoleSet:
     if roots.size > 1:
         diff = np.abs(roots[:, None] - roots[None, :])
         diff[np.diag_indices_from(diff)] = np.inf
-        multiple = bool(np.min(diff) < MULTIPLE_POLE_TOL)
+        mod = np.abs(roots)
+        multiple = bool(np.any(diff < MULTIPLE_POLE_RTOL * np.maximum.outer(mod, mod)))
     return PoleSet(roots, residues, multiple)

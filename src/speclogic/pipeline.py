@@ -35,7 +35,7 @@ import math
 import types
 import typing
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -116,14 +116,14 @@ class SparseSettings:
 
 
 def _matches(value, hint) -> bool:
-    """Whether a JSON value fits a field's type hint (ints count as floats)."""
+    """Whether a JSON value fits a field's type hint (ints count as floats, bools as neither)."""
     if isinstance(hint, types.UnionType):
         return any(_matches(value, h) for h in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:
         item = typing.get_args(hint)[0]
         return isinstance(value, (list, tuple)) and all(_matches(v, item) for v in value)
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
     if hint is type(None):
         return value is None
     return isinstance(value, hint)
@@ -259,7 +259,7 @@ def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
     c = np.asarray(c, dtype=float)
     if n_max < 1:
         raise InputError(f"n_max must be positive, got {n_max}")
-    scale = float(np.linalg.norm(c))
+    scale = float(scipy.linalg.norm(c, check_finite=False))
     if scale == 0:
         return SweepResult(0, 1, 0.0, True)
     best: SweepResult | None = None
@@ -284,21 +284,17 @@ def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
     return best
 
 
-def _signal_modes(poles: PoleSet, scale: float) -> tuple[PoleSet, int]:
+def _signal_modes(poles: PoleSet, scale: float) -> PoleSet:
     """Invert approximant poles into per-sample mode bases with coefficients.
 
     F(z) ~ r/(z - p) contributes (-r/p) * (1/p)^n to sample n, so the mode
     base is z = 1/p with coefficient c = -r/p, multiplied by ``scale`` (the
-    factor the series was divided by). Poles at the origin carry no mode and
-    are dropped. A residue that is not finite (a multiple pole) or a
-    coefficient that overflows gives a non-finite coefficient, which
-    :func:`atoms_from_poles` drops.
+    factor the series was divided by). A pole within 1e-12 of the origin
+    (|z| > 1e12), a multiple pole (residue not finite) and an overflowing
+    coefficient all fall to the keep rule of :func:`atoms_from_poles`.
     """
-    keep = np.abs(poles.poles) >= 1e-12
-    p, r = poles.poles[keep], poles.residues[keep]
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = -r / p * scale
-    return PoleSet(1.0 / p, coeffs), int(np.count_nonzero(~keep))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return PoleSet(1.0 / poles.poles, -poles.residues / poles.poles * scale)
 
 
 def _estimate(x: TimeSeries, cfg: PipelineConfig, diagnostics: dict) -> SparseSpectrum:
@@ -328,12 +324,11 @@ def _estimate(x: TimeSeries, cfg: PipelineConfig, diagnostics: dict) -> SparseSp
         if rational is None:
             rational = fit_pade(c, m, n)
         poles = extract_poles(rational)
-        modes, pre_dropped = _signal_modes(poles, scale)
-        sp = atoms_from_poles(modes, x.dt)
-        sp = replace(sp, dropped=sp.dropped + pre_dropped)
+        sp = atoms_from_poles(_signal_modes(poles, scale), x.dt, x.samples)
         diagnostics["estimate"] = {
             "backend": "pade_z",
             "orders": [m, n],
+            "residual_norm": sp.residual_norm,
             "dropped": sp.dropped,
             "multiple_poles": poles.multiple_poles,
             **order_diag,
@@ -400,6 +395,9 @@ def run(x: TimeSeries, cfg: PipelineConfig) -> RunResult:
         ruleset = cfg.load_ruleset()
     with _stage("preprocess"):
         pre = preprocess(x, cfg.preprocess)
+        # residuals are reported at input scale, and an infinite one is not JSON
+        if not math.isfinite(scipy.linalg.norm(pre.samples, check_finite=False)):
+            raise InputError("the signal's 2-norm overflows float64; rescale it")
     diagnostics: dict = {"preprocess": {"samples": len(pre)}}
     with _stage("estimate"):
         atoms = _estimate(pre, cfg, diagnostics)

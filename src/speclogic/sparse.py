@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -77,10 +77,11 @@ class LorentzianAtom:
 class SparseSpectrum:
     """Atoms sorted by center frequency plus fit diagnostics.
 
-    ``residual_norm`` is the 2-norm of whatever residual the producing fit
-    left behind (0 when there is no meaningful target). ``dropped`` counts
-    candidate modes discarded as unstable or amplitude-free; ``converged``
-    is cleared by :func:`refine_nls` when it exhausts its iteration budget.
+    ``residual_norm`` is the 2-norm of what the producing fit left
+    unexplained (for a signal, the samples minus the kept modes; 0 without a
+    target). ``dropped`` counts candidate modes discarded as unstable or
+    amplitude-free; ``converged`` is cleared by :func:`refine_nls` when it
+    exhausts its iteration budget.
     """
 
     atoms: tuple[LorentzianAtom, ...]
@@ -194,32 +195,36 @@ def _pole_atom(z: complex, res: complex, dt: float) -> tuple[float, float, float
     if mod >= UNSTABLE_MODULUS or mod < 1e-12:
         return None
     gamma = -math.log(mod) / dt
-    amp = abs(res) / gamma
+    amp = float(abs(res)) / gamma  # Python floats: an overflow gives inf, no warning
     if amp <= 0 or not math.isfinite(amp):
         return None
     return math.atan2(z.imag, z.real) / dt, gamma, amp
 
 
-def atoms_from_poles(p: PoleSet, dt: float, residual_norm: float = 0.0) -> SparseSpectrum:
-    """Map stable discrete-time poles to Lorentzian atoms.
+def atoms_from_poles(
+    modes: PoleSet, dt: float, samples: np.ndarray | None = None
+) -> SparseSpectrum:
+    """Map discrete-time modes c_k * z_k^n to Lorentzian atoms, applying the
+    keep rule of :func:`_pole_atom` once per mode.
 
-    Keeps poles with |z| < 1 and nonnegative imaginary part (conjugate
-    partners of real signals collapse onto one atom); everything else is
-    discarded and counted in ``dropped``.
+    A kept mode with Im z >= 0 becomes an atom; its conjugate partner of a
+    real signal collapses onto it. Each mode with Im z >= 0 that becomes no
+    atom counts in ``dropped``. Given the ``samples`` the modes were fitted
+    to, ``residual_norm`` is ||samples - sum of kept modes (with partners)||,
+    which is ||samples|| when every mode is dropped. Without samples it is 0.
     """
     if not dt > 0:
         raise InputError(f"dt must be positive, got {dt}")
-    atoms: list[LorentzianAtom] = []
-    dropped = 0
-    for z, res in zip(p.poles, p.residues):
-        if z.imag < 0:
-            continue  # conjugate partner, already represented
-        params = _pole_atom(z, res, dt)
-        if params is None:
-            dropped += 1
-        else:
-            atoms.append(LorentzianAtom(*params))
-    return SparseSpectrum.from_atoms(atoms, residual_norm, dropped)
+    params = [_pole_atom(z, res, dt) for z, res in zip(modes.poles, modes.residues)]
+    kept = np.array([p is not None for p in params], dtype=bool)
+    partner = modes.poles.imag < 0  # represented by its Im z > 0 twin
+    atoms = [LorentzianAtom(*p) for p, twin in zip(params, partner) if p is not None and not twin]
+    residual = 0.0
+    if samples is not None:
+        # BLAS nrm2 scales as it sums, so 1e300 samples do not overflow
+        model = np.vander(modes.poles[kept], samples.size, increasing=True).T @ modes.residues[kept]
+        residual = float(scipy.linalg.norm(samples - model, check_finite=False))
+    return SparseSpectrum.from_atoms(atoms, residual, int(np.count_nonzero(~partner & ~kept)))
 
 
 def _leading_svd(hank: np.ndarray, width: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,8 +262,8 @@ def fit_matrix_pencil(
     from ``seed``, so equal seeds give identical output. The model order is
     the number of those singular values with sigma_i/sigma_1 > ``sv_tol``,
     capped at ``max_modes``. Amplitudes come from the least-squares
-    Vandermonde solve and map to atoms with the same convention as
-    :func:`atoms_from_poles`.
+    Vandermonde solve, and :func:`atoms_from_poles` maps the modes to atoms
+    and gives the residual over the kept ones.
 
     The samples are divided by max|x| before any product is formed, so the
     fit is scale invariant; mode coefficients and the residual norm are
@@ -275,7 +280,6 @@ def fit_matrix_pencil(
     if scale == 0:
         return SparseSpectrum.from_atoms([], 0.0)
     s = x.samples / scale
-    s_norm = float(np.linalg.norm(s)) * scale
 
     pencil = n // 2
     hank = scipy.linalg.hankel(s[: n - pencil], s[n - pencil - 1 :])  # (n-L, L+1)
@@ -283,30 +287,19 @@ def fit_matrix_pencil(
     sv, vh = _leading_svd(hank, width, seed)
     order = int(np.count_nonzero(sv > sv_tol * sv[0]))
     order = min(order, max_modes, pencil)
-    if order == 0:
-        return SparseSpectrum.from_atoms([], s_norm)
 
     w0 = vh[:order, :pencil]
     w1 = vh[:order, 1 : pencil + 1]
     shift, *_ = np.linalg.lstsq(w0.T, w1.T, rcond=None)
     z = np.linalg.eigvals(shift)
 
-    # Guard the Vandermonde solve against exploding powers of artifact poles.
-    dropped = int(np.count_nonzero(np.abs(z) >= 1.05))
-    z = z[np.abs(z) < 1.05]
-    if z.size == 0:
-        return SparseSpectrum.from_atoms([], s_norm, dropped)
-    vand = z[None, :] ** np.arange(n)[:, None]
-    coeffs, *_ = np.linalg.lstsq(vand, s.astype(complex), rcond=None)
-    modes = PoleSet(z, coeffs * scale)
-
-    # The residual counts only the modes that become atoms (with their
-    # conjugate partners): a fit whose every mode is dropped explains nothing.
-    kept = np.array([_pole_atom(zk, ck, x.dt) is not None for zk, ck in zip(z, modes.residues)])
-    residual = float(np.linalg.norm(vand @ np.where(kept, coeffs, 0) - s)) * scale
-
-    out = atoms_from_poles(modes, x.dt, residual)
-    return replace(out, dropped=out.dropped + dropped)
+    # Artifact poles with exploding powers stay out of the Vandermonde solve;
+    # with coefficient 0 they reach atoms_from_poles, which drops them.
+    solved = np.abs(z) < 1.05
+    coeffs = np.zeros(z.size, dtype=complex)
+    vand = np.vander(z[solved], n, increasing=True).T
+    coeffs[solved], *_ = np.linalg.lstsq(vand, s.astype(complex), rcond=None)
+    return atoms_from_poles(PoleSet(z, coeffs * scale), x.dt, x.samples)
 
 
 @dataclass(frozen=True, eq=False)

@@ -138,9 +138,11 @@ def test_lanczos_backend_rejected_by_parser(workdir, capsys):
         {"pade": 5},
         {"binning": {"omega_bins": "low"}},
         {"seed": "seven"},
+        {"seed": True},
+        {"sparse": {"k_max": True}},
     ],
     ids=["unknown_key", "unknown_nested_key", "section_not_object", "axis_not_object",
-         "wrong_scalar_type"],
+         "wrong_scalar_type", "bool_as_int", "nested_bool_as_int"],
 )
 def test_malformed_config_exits_2(workdir, capsys, change):
     record = reference_config().to_dict()

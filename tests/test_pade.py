@@ -179,6 +179,24 @@ def test_multiple_pole_flag():
     assert np.allclose(ps.poles, [1.0, 1.0], atol=1e-6)
 
 
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 4)])
+@pytest.mark.parametrize("base", [1.0, 0.5, 0.25, 0.9])
+def test_multiple_pole_flag_is_relative(base, m, n):
+    # (k+1) b^k is the series of 1/(1 - b s)^2; companion eigenvalues split
+    # its double root 1/b by ~1e-7 relative, above any fixed 1e-8 tolerance
+    k = np.arange(16)
+    ps = extract_poles(fit_pade((k + 1) * base**k, m, n))
+    assert ps.multiple_poles
+    assert np.sum(np.abs(ps.poles - 1 / base) < 1e-6 / base) == 2
+
+
+def test_close_distinct_poles_are_not_multiple():
+    # roots 2 and 2.0002 (1e-4 relative apart) by (1 - s/2)(1 - s/2.0002)
+    r1, r2 = 2.0, 2.0002
+    r = RationalApprox(np.array([1.0]), np.array([-(1 / r1 + 1 / r2), 1 / (r1 * r2)]), 0, 2)
+    assert not extract_poles(r).multiple_poles
+
+
 def test_poles_sorted_by_real_then_imag():
     rng = np.random.default_rng(23)
     a, b = random_rational(rng, 2, 4)

@@ -292,6 +292,17 @@ def test_auto_order_sweep_noise_falls_back():
     assert 1 <= sweep.n <= 4
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+def test_auto_order_sweep_is_scale_invariant(scale):
+    # called directly, without the power-of-two scaling of run; any
+    # RuntimeWarning (an overflowing norm) fails the test
+    t = 0.1 * np.arange(64)
+    sweep = auto_order_sweep(scale * np.exp(-0.2 * t) * np.cos(3.0 * t), 8, 1e-8)
+    assert (sweep.m, sweep.n) == (1, 2)
+    assert sweep.converged
+    assert sweep.residual <= 1e-8
+
+
 def test_auto_order_sweep_nan_residual_is_never_best(monkeypatch):
     # an order whose re-expansion overflows to NaN must lose to any finite one
     original = pipeline.taylor_coefficients

@@ -102,6 +102,27 @@ def test_atoms_from_poles_drops_unstable():
         atoms_from_poles(ps, 0.0)
 
 
+def test_atoms_from_poles_drops_overflowing_amplitude():
+    # |z| just below 1 gives gamma ~ 1e-15, so amp = |c|/gamma overflows
+    ps = PoleSet(np.array([1.0 - 1e-15 + 0j]), np.array([1e300 + 0j]))
+    sp = atoms_from_poles(ps, 1.0)
+    assert sp.atoms == ()
+    assert sp.dropped == 1
+
+
+def test_atoms_from_poles_residual_counts_kept_modes_and_partners():
+    n = np.arange(64)
+    z = 0.9 * np.exp(0.3j)
+    kept = PoleSet(np.array([z, np.conj(z)]), np.array([0.5 + 0.1j, 0.5 - 0.1j]))
+    samples = np.real((0.5 + 0.1j) * z**n + (0.5 - 0.1j) * np.conj(z) ** n)
+    assert atoms_from_poles(kept, 0.1, samples).residual_norm <= 1e-13
+    # a growing mode is dropped and leaves the whole signal in the residual
+    growing = PoleSet(np.array([1.01 + 0j]), np.array([1.0 + 0j]))
+    sp = atoms_from_poles(growing, 0.1, samples)
+    assert sp.dropped == 1
+    assert sp.residual_norm == pytest.approx(np.linalg.norm(samples), rel=1e-12)
+
+
 def test_spectrum_sorting_and_merge():
     atoms = [LorentzianAtom(3.0, 0.1, 1.0), LorentzianAtom(1.0, 0.1, 2.0)]
     sp = SparseSpectrum.from_atoms(atoms)
@@ -187,6 +208,19 @@ def test_pencil_residual_counts_only_kept_modes():
     assert sp.atoms[0].omega == pytest.approx(0.9, rel=1e-8)
     assert sp.dropped == 1
     assert sp.residual_norm == pytest.approx(np.linalg.norm(growing), rel=1e-6)
+
+
+def test_pencil_counts_a_growing_pair_once():
+    # at |z| = 1.06 the pair is kept out of the Vandermonde solve, and it is
+    # still one dropped pair, as at |z| = 1.002 above
+    n = np.arange(384)
+    stable = np.exp(-0.01 * n) * np.cos(0.9 * n)
+    growing = 1e-8 * 1.06**n * np.cos(2.1 * n)
+    sp = pencil_no_warnings(stable + growing, max_modes=4, dt=1.0)
+    assert len(sp.atoms) == 1
+    assert sp.atoms[0].omega == pytest.approx(0.9, rel=1e-8)
+    assert sp.dropped == 1
+    assert sp.residual_norm == pytest.approx(np.linalg.norm(growing), rel=1e-5)
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputError
 from .pipeline import PipelineConfig, RunResult, run
 from .rules import replay
-from .signal import PreprocessConfig, TimeSeries
+from .signal import TimeSeries
 from .symbolic import BinAxis, BinningConfig
 
 DEFAULT_DT = 0.05
@@ -117,9 +117,8 @@ def reference_config(seed: int = 0) -> PipelineConfig:
     # keep singular-value ratios above ~0.7 while noise stays below ~0.05
     return PipelineConfig(
         binning=REFERENCE_BINNING,
-        preprocess=PreprocessConfig(),
         backend="matrix_pencil",
-        sparse=SparseSettings(k_max=3, sv_tol=0.1, nls_iters=60),
+        sparse=SparseSettings(k_max=3, sv_tol=0.1),
         rules_text=REFERENCE_RULES,
         seed=seed,
     )

@@ -56,6 +56,7 @@ from .sparse import (
     fit_matrix_pencil,
     fit_omp,
     refine_nls,
+    unit_scale,
 )
 from .symbolic import BinningConfig, SymbolSet, project
 
@@ -284,17 +285,17 @@ def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
     return best
 
 
-def _signal_modes(poles: PoleSet, scale: float) -> PoleSet:
+def _signal_modes(poles: PoleSet) -> PoleSet:
     """Invert approximant poles into per-sample mode bases with coefficients.
 
     F(z) ~ r/(z - p) contributes (-r/p) * (1/p)^n to sample n, so the mode
-    base is z = 1/p with coefficient c = -r/p, multiplied by ``scale`` (the
-    factor the series was divided by). A pole within 1e-12 of the origin
-    (|z| > 1e12), a multiple pole (residue not finite) and an overflowing
-    coefficient all fall to the keep rule of :func:`atoms_from_poles`.
+    base is z = 1/p with coefficient c = -r/p. A pole within 1e-12 of the
+    origin (|z| > 1e12), a multiple pole (residue not finite) and an
+    overflowing coefficient all fall to the keep rule of
+    :func:`atoms_from_poles`.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return PoleSet(1.0 / poles.poles, -poles.residues / poles.poles * scale)
+        return PoleSet(1.0 / poles.poles, -poles.residues / poles.poles)
 
 
 def _estimate(x: TimeSeries, cfg: PipelineConfig, diagnostics: dict) -> SparseSpectrum:
@@ -307,11 +308,7 @@ def _estimate(x: TimeSeries, cfg: PipelineConfig, diagnostics: dict) -> SparseSp
         }
         return sp
     if cfg.backend == "pade_z":
-        # Fit the series divided by the power of two at or below max|x|, so no
-        # power of a 1e300 signal overflows and a 1e-300 one is not read as
-        # zero. Division by a power of two is exact: at ordinary scale every
-        # rounding, and so every chosen order, is what the unscaled fit gives.
-        scale = 2.0 ** (math.frexp(float(np.max(np.abs(x.samples))))[1] - 1)
+        scale = unit_scale(x.samples)
         c = x.samples / scale
         rational = None
         if cfg.pade.auto:
@@ -324,7 +321,7 @@ def _estimate(x: TimeSeries, cfg: PipelineConfig, diagnostics: dict) -> SparseSp
         if rational is None:
             rational = fit_pade(c, m, n)
         poles = extract_poles(rational)
-        sp = atoms_from_poles(_signal_modes(poles, scale), x.dt, x.samples)
+        sp = atoms_from_poles(_signal_modes(poles), x.dt, c, scale)
         diagnostics["estimate"] = {
             "backend": "pade_z",
             "orders": [m, n],

@@ -1,4 +1,4 @@
-"""Time-domain signal container, preconditioning, and file ingestion.
+"""Time-domain signal container, mean removal, and file ingestion.
 
 Everything here is a pure function over immutable values; results are safe
 to share between threads.
@@ -17,8 +17,6 @@ from .errors import InputError
 
 #: Relative tolerance used to validate uniform time spacing in CSV input.
 UNIFORM_SPACING_RTOL = 1e-6
-
-WINDOWS = ("none", "hann")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,38 +64,18 @@ class TimeSeries:
 class PreprocessConfig:
     """Signal conditioning applied before spectral estimation.
 
-    ``detrend`` subtracts the sample mean, ``window`` tapers with a Hann
-    profile, ``zero_pad_to`` extends with trailing zeros. Applied in that
-    order; the all-default configuration is the identity.
+    ``detrend`` subtracts the sample mean, so a DC offset does not take a
+    mode of its own; the back-ends do their own scaling.
     """
 
-    window: str = "none"
     detrend: bool = False
-    zero_pad_to: int | None = None
-
-    def __post_init__(self):
-        if self.window not in WINDOWS:
-            raise InputError(f"unknown window {self.window!r}; expected one of {WINDOWS}")
-        if self.zero_pad_to is not None and int(self.zero_pad_to) < 2:
-            raise InputError("zero_pad_to must be at least 2")
 
 
 def preprocess(x: TimeSeries, cfg: PreprocessConfig) -> TimeSeries:
-    """Detrend, window, then zero-pad ``x``; dt and label are unchanged."""
-    y = x.samples
-    if cfg.detrend:
-        y = y - y.mean()
-    if cfg.window == "hann":
-        # w_n = 0.5*(1 - cos(2*pi*n/(N-1))), endpoints exactly zero
-        y = y * np.hanning(y.size)
-    if cfg.zero_pad_to is not None:
-        target = int(cfg.zero_pad_to)
-        if target < y.size:
-            raise InputError(
-                f"zero_pad_to={target} is shorter than the signal ({y.size} samples)"
-            )
-        y = np.concatenate([y, np.zeros(target - y.size)])
-    return TimeSeries(y, x.dt, x.label)
+    """Subtract the sample mean when ``cfg.detrend`` is set; otherwise ``x`` itself."""
+    if not cfg.detrend:
+        return x
+    return TimeSeries(x.samples - x.samples.mean(), x.dt, x.label)
 
 
 def autocorrelation(x: TimeSeries, max_lag: int) -> TimeSeries:

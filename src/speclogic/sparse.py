@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .errors import InputError
+from .errors import InputError, NumericError
 from .pade import PoleSet
 from .signal import TimeSeries
 
@@ -46,8 +46,10 @@ SKETCH_OVERSAMPLE = 10
 #: Power iterations of the pencil's randomized range finder.
 POWER_ITERATIONS = 2
 
-#: Poles with modulus at or above this are treated as nonphysical growth.
-UNSTABLE_MODULUS = 1.0
+#: Poles with modulus at or above this become no atom: they grow, or decay by
+#: under 1e-6 per sample, 200x below the weakest benchmark damping (gamma*dt =
+#: 2e-4). So a constant, Nyquist alternation or ramp keeps no atom.
+UNSTABLE_MODULUS = 1.0 - 1e-6
 
 #: Gradient infinity-norm below which refinement declares convergence.
 NLS_GRAD_TOL = 1e-10
@@ -79,9 +81,9 @@ class SparseSpectrum:
 
     ``residual_norm`` is the 2-norm of what the producing fit left
     unexplained (for a signal, the samples minus the kept modes; 0 without a
-    target). ``dropped`` counts candidate modes discarded as unstable or
-    amplitude-free; ``converged`` is cleared by :func:`refine_nls` when it
-    exhausts its iteration budget.
+    target). ``dropped`` counts candidate modes discarded as growing,
+    undamped or amplitude-free; ``converged`` is cleared by
+    :func:`refine_nls` when it exhausts its iteration budget.
     """
 
     atoms: tuple[LorentzianAtom, ...]
@@ -187,43 +189,60 @@ def eval_spectrum(sp: SparseSpectrum, omega):
     return total
 
 
-def _pole_atom(z: complex, res: complex, dt: float) -> tuple[float, float, float] | None:
-    """(omega, gamma, amp) of the atom pole ``z`` with residue ``res`` maps
-    to, or None when it maps to none: |z| >= UNSTABLE_MODULUS, |z| < 1e-12,
-    or an amplitude that is zero or not finite."""
+def unit_scale(samples: np.ndarray) -> float:
+    """The power of two at or below max|samples|, or 1.0 when all are zero.
+
+    Both signal back-ends fit ``samples / unit_scale(samples)``: no power of
+    a 1e300 signal overflows, a 1e-300 one is not read as zero, and since the
+    division is exact every rounding is the unscaled fit's at ordinary scale.
+    """
+    peak = float(np.max(np.abs(samples)))
+    return 2.0 ** (math.frexp(peak)[1] - 1) if peak > 0 else 1.0
+
+
+def _pole_atom(
+    z: complex, res: complex, dt: float, scale: float
+) -> tuple[float, float, float] | None:
+    """(omega, gamma, amp) of the atom pole ``z`` with unit-scale residue
+    ``res`` maps to, or None when it maps to none: |z| >= UNSTABLE_MODULUS,
+    |z| < 1e-12, or an amplitude that is zero or not finite at input scale."""
     mod = abs(z)
     if mod >= UNSTABLE_MODULUS or mod < 1e-12:
         return None
     gamma = -math.log(mod) / dt
-    amp = float(abs(res)) / gamma  # Python floats: an overflow gives inf, no warning
+    amp = float(abs(res)) * scale / gamma  # Python floats: an overflow gives inf, no warning
     if amp <= 0 or not math.isfinite(amp):
         return None
     return math.atan2(z.imag, z.real) / dt, gamma, amp
 
 
 def atoms_from_poles(
-    modes: PoleSet, dt: float, samples: np.ndarray | None = None
+    modes: PoleSet, dt: float, samples: np.ndarray | None = None, scale: float = 1.0
 ) -> SparseSpectrum:
     """Map discrete-time modes c_k * z_k^n to Lorentzian atoms, applying the
     keep rule of :func:`_pole_atom` once per mode.
 
-    A kept mode with Im z >= 0 becomes an atom; its conjugate partner of a
-    real signal collapses onto it. Each mode with Im z >= 0 that becomes no
-    atom counts in ``dropped``. Given the ``samples`` the modes were fitted
-    to, ``residual_norm`` is ||samples - sum of kept modes (with partners)||,
-    which is ||samples|| when every mode is dropped. Without samples it is 0.
+    ``modes`` and ``samples`` are the input divided by ``scale`` (see
+    :func:`unit_scale`); amplitudes and the residual come back at input
+    scale. A kept mode with Im z >= 0 becomes an atom; its conjugate partner
+    of a real signal collapses onto it. Each mode with Im z >= 0 that becomes
+    no atom counts in ``dropped``. Given the ``samples``, ``residual_norm``
+    is scale * ||samples - sum of kept modes (with partners)||: the input's
+    norm when every mode is dropped, 0 without samples, and a
+    :class:`NumericError` when it overflows float64.
     """
     if not dt > 0:
         raise InputError(f"dt must be positive, got {dt}")
-    params = [_pole_atom(z, res, dt) for z, res in zip(modes.poles, modes.residues)]
+    params = [_pole_atom(z, res, dt, scale) for z, res in zip(modes.poles, modes.residues)]
     kept = np.array([p is not None for p in params], dtype=bool)
     partner = modes.poles.imag < 0  # represented by its Im z > 0 twin
     atoms = [LorentzianAtom(*p) for p, twin in zip(params, partner) if p is not None and not twin]
     residual = 0.0
     if samples is not None:
-        # BLAS nrm2 scales as it sums, so 1e300 samples do not overflow
         model = np.vander(modes.poles[kept], samples.size, increasing=True).T @ modes.residues[kept]
-        residual = float(scipy.linalg.norm(samples - model, check_finite=False))
+        residual = float(scipy.linalg.norm(samples - model, check_finite=False)) * scale
+        if not math.isfinite(residual):
+            raise NumericError("the fit residual overflows float64 at the input's scale")
     return SparseSpectrum.from_atoms(atoms, residual, int(np.count_nonzero(~partner & ~kept)))
 
 
@@ -265,9 +284,9 @@ def fit_matrix_pencil(
     Vandermonde solve, and :func:`atoms_from_poles` maps the modes to atoms
     and gives the residual over the kept ones.
 
-    The samples are divided by max|x| before any product is formed, so the
-    fit is scale invariant; mode coefficients and the residual norm are
-    reported at the input's scale.
+    The samples are divided by :func:`unit_scale` before any product is
+    formed, so the fit is scale invariant; :func:`atoms_from_poles` reports
+    amplitudes and the residual norm at the input's scale.
     """
     n = len(x)
     if max_modes < 1:
@@ -276,9 +295,7 @@ def fit_matrix_pencil(
         raise InputError(
             f"need at least {2 * max_modes + 2} samples for {max_modes} modes, got {n}"
         )
-    scale = float(np.max(np.abs(x.samples)))
-    if scale == 0:
-        return SparseSpectrum.from_atoms([], 0.0)
+    scale = unit_scale(x.samples)
     s = x.samples / scale
 
     pencil = n // 2
@@ -299,7 +316,7 @@ def fit_matrix_pencil(
     coeffs = np.zeros(z.size, dtype=complex)
     vand = np.vander(z[solved], n, increasing=True).T
     coeffs[solved], *_ = np.linalg.lstsq(vand, s.astype(complex), rcond=None)
-    return atoms_from_poles(PoleSet(z, coeffs * scale), x.dt, x.samples)
+    return atoms_from_poles(PoleSet(z, coeffs), x.dt, s, scale)
 
 
 @dataclass(frozen=True, eq=False)

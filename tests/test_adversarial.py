@@ -12,8 +12,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from speclogic import InputError, RunResult, SpecLogicError, TimeSeries, run
+from speclogic import InputError, NumericError, RunResult, SpecLogicError, TimeSeries, run
 from speclogic.benchmark import reference_config
 from speclogic.pipeline import PadeSettings
 
@@ -53,6 +54,7 @@ def _inputs():
         "scaled_1e-300": 1e-300 * _damped_cosine(),
         "near_max_constant": np.full(N, 1.7e308),
         "near_max_nyquist": 1e308 * (-1.0) ** n,
+        "near_max_dipole": 1.2e308 * (np.eye(1, N, 100)[0] - np.eye(1, N, 101)[0]),
         "short_2": np.array([1.0, 0.5]),
         "short_5": _damped_cosine(5),
     }
@@ -60,6 +62,14 @@ def _inputs():
 
 #: inputs whose 2-norm overflows float64
 NEAR_MAX = ("near_max_constant", "near_max_nyquist")
+
+#: inputs whose modes sit on the unit circle: no decay, so no atom
+UNDAMPED = ("constant", "nyquist", "ramp")
+
+
+def _norm(samples):
+    # BLAS nrm2 scales as it sums, so a near-float-max input has a finite norm
+    return scipy.linalg.norm(samples, check_finite=False)
 
 
 def _reject_constant(name):
@@ -81,6 +91,9 @@ def test_hostile_input_gives_result_or_typed_error(signal, config):
     except SpecLogicError as exc:
         if signal in NEAR_MAX:
             assert isinstance(exc, InputError) and exc.stage == "preprocess"
+        elif signal == "near_max_dipole":
+            # the input is valid; only a fit whose residual overflows may fail
+            assert isinstance(exc, NumericError) and exc.stage == "estimate"
         return
     assert signal not in NEAR_MAX
     assert isinstance(result, RunResult)
@@ -90,7 +103,16 @@ def test_hostile_input_gives_result_or_typed_error(signal, config):
     assert estimate["dropped"] == result.atoms.dropped
     if not result.atoms.atoms:
         # nothing kept, so nothing is explained
-        assert result.atoms.residual_norm == pytest.approx(np.linalg.norm(samples), rel=1e-9)
+        assert result.atoms.residual_norm == pytest.approx(_norm(samples), rel=1e-9)
+
+
+@pytest.mark.parametrize("config", list(_configs()))
+@pytest.mark.parametrize("signal", UNDAMPED)
+def test_undamped_input_keeps_no_atom(signal, config):
+    samples = _inputs()[signal]
+    result = _run_strict(samples, _configs()[config])
+    assert result.atoms.atoms == ()
+    assert result.atoms.residual_norm == pytest.approx(_norm(samples), rel=1e-9)
 
 
 @pytest.mark.parametrize("config", list(_configs()))

@@ -140,9 +140,12 @@ def test_lanczos_backend_rejected_by_parser(workdir, capsys):
         {"seed": "seven"},
         {"seed": True},
         {"sparse": {"k_max": True}},
+        {"preprocess": {"window": "hann"}},
+        {"preprocess": {"zero_pad_to": 768}},
     ],
     ids=["unknown_key", "unknown_nested_key", "section_not_object", "axis_not_object",
-         "wrong_scalar_type", "bool_as_int", "nested_bool_as_int"],
+         "wrong_scalar_type", "bool_as_int", "nested_bool_as_int", "removed_window",
+         "removed_zero_pad_to"],
 )
 def test_malformed_config_exits_2(workdir, capsys, change):
     record = reference_config().to_dict()
@@ -155,6 +158,15 @@ def test_malformed_config_exits_2(workdir, capsys, change):
     cfg_path.write_text(json.dumps(record))
     assert main(["run", "--input", str(workdir / "sig.csv"), "--config", str(cfg_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_overflowing_residual_exits_3(tmp_path, capsys):
+    # a valid near-float-max input whose pencil fit leaves a residual
+    # above float64's range is a numeric failure, not a bad input
+    samples = 1.2e308 * (np.eye(1, 384, 100)[0] - np.eye(1, 384, 101)[0])
+    save_timeseries_csv(TimeSeries(samples, 0.05), tmp_path / "dipole.csv")
+    assert main(["run", "--input", str(tmp_path / "dipole.csv")]) == 3
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_missing_input_exits_2(tmp_path, capsys):

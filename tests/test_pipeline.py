@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,6 +391,15 @@ def test_config_json_roundtrip(tmp_path):
     path.write_text(json.dumps(cfg.to_dict()))
     back = PipelineConfig.from_json_file(path)
     assert back.to_dict() == cfg.to_dict()
+
+
+def test_readme_config_example_loads():
+    # the documented example names no key the configuration lacks
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    record = json.loads(block)
+    assert json.loads(json.dumps(PipelineConfig.from_dict(record).to_dict())) == record
 
 
 def test_config_validation():

@@ -39,29 +39,6 @@ def test_all_none_is_identity_and_idempotent():
     assert once.dt == x.dt and once.label == "sig"
 
 
-def test_hann_zeroes_two_point_signal():
-    # w_n = 0.5*(1 - cos(2*pi*n/(N-1))) gives w = (0, 0) for N = 2
-    out = preprocess(TimeSeries([1.0, 1.0], 1.0), PreprocessConfig(window="hann"))
-    assert np.allclose(out.samples, [0.0, 0.0])
-
-
-def test_padding_preserves_prefix():
-    x = TimeSeries([1.0, 2.0, 3.0], 1.0)
-    out = preprocess(x, PreprocessConfig(zero_pad_to=7))
-    assert len(out) == 7
-    assert np.array_equal(out.samples[:3], x.samples)
-    assert np.array_equal(out.samples[3:], np.zeros(4))
-    with pytest.raises(InputError):
-        preprocess(x, PreprocessConfig(zero_pad_to=2))
-
-
-def test_preprocess_order_detrend_then_window():
-    x = TimeSeries([2.0, 4.0, 2.0, 4.0], 1.0)
-    out = preprocess(x, PreprocessConfig(window="hann", detrend=True))
-    centered = x.samples - 3.0
-    assert np.allclose(out.samples, centered * np.hanning(4))
-
-
 def test_autocorrelation_zero_signal():
     out = autocorrelation(TimeSeries(np.zeros(16), 1.0), 5)
     assert np.array_equal(out.samples, np.zeros(6))

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from speclogic import (
     InputError,
     LorentzianAtom,
     LorentzianDictionary,
+    NumericError,
     PoleSet,
     SampledSpectrum,
     SparseSpectrum,
@@ -18,7 +20,7 @@ from speclogic import (
     fit_omp,
     refine_nls,
 )
-from speclogic.sparse import SKETCH_OVERSAMPLE, lorentzian_model_jacobian
+from speclogic.sparse import SKETCH_OVERSAMPLE, lorentzian_model_jacobian, unit_scale
 
 
 def damped_cosines(modes, n=600, dt=0.05):
@@ -103,11 +105,50 @@ def test_atoms_from_poles_drops_unstable():
 
 
 def test_atoms_from_poles_drops_overflowing_amplitude():
-    # |z| just below 1 gives gamma ~ 1e-15, so amp = |c|/gamma overflows
-    ps = PoleSet(np.array([1.0 - 1e-15 + 0j]), np.array([1e300 + 0j]))
+    # |z| = 0.999 gives gamma ~ 1e-3, so amp = |c|/gamma overflows
+    ps = PoleSet(np.array([0.999 + 0j]), np.array([1e306 + 0j]))
     sp = atoms_from_poles(ps, 1.0)
     assert sp.atoms == ()
     assert sp.dropped == 1
+    # the same overflow when the scale takes a unit-scale residue back
+    sp = atoms_from_poles(PoleSet(np.array([0.999 + 0j]), np.array([1.0 + 0j])), 1.0, scale=1e306)
+    assert sp.atoms == ()
+    assert sp.dropped == 1
+
+
+@pytest.mark.parametrize("modulus,kept", [(1.0 - 1e-7, False), (1.0 - 1e-5, True)])
+def test_atoms_from_poles_drops_undamped_modes(modulus, kept):
+    # 1 - |z| < 1e-6 is no measurable decay per sample
+    sp = atoms_from_poles(PoleSet(np.array([modulus + 0j]), np.array([1e-3 + 0j])), 1.0)
+    assert len(sp.atoms) == int(kept)
+    assert sp.dropped == int(not kept)
+
+
+def test_atoms_from_poles_returns_input_scale():
+    n = np.arange(64)
+    z = 0.9 * np.exp(0.3j)
+    ps = PoleSet(np.array([z, np.conj(z)]), np.array([0.5 + 0.1j, 0.5 - 0.1j]))
+    samples = np.real((0.5 + 0.1j) * z**n + (0.5 - 0.1j) * np.conj(z) ** n)
+    unit = atoms_from_poles(ps, 0.1, samples + 1e-3)
+    scaled = atoms_from_poles(ps, 0.1, samples + 1e-3, scale=2.0**-900)
+    assert scaled.atoms[0].amp == unit.atoms[0].amp * 2.0**-900
+    assert scaled.residual_norm == unit.residual_norm * 2.0**-900
+    # a unit-scale residual of 8 is above float64's range at scale 2**1023
+    with pytest.raises(NumericError, match="overflows"):
+        atoms_from_poles(ps, 0.1, samples + 1.0, scale=2.0**1023)
+
+
+@pytest.mark.parametrize("peak", [0.75, 1.0, 3.0, 1.7e308, 1e-300, 5e-324])
+def test_unit_scale_is_the_power_of_two_below_the_peak(peak):
+    samples = np.array([0.0, -peak, peak / 3])
+    scale = unit_scale(samples)
+    assert math.frexp(scale)[0] == 0.5  # a power of two
+    assert scale <= peak < 2 * scale
+    assert np.array_equal(samples / scale * scale, samples)  # division is exact
+
+
+def test_unit_scale_of_zero_samples_is_one():
+    assert unit_scale(np.zeros(8)) == 1.0
 
 
 def test_atoms_from_poles_residual_counts_kept_modes_and_partners():

@@ -18,11 +18,12 @@ and forward-chains the configured rules, capturing every intermediate in a
 
 ``lanczos``
     Operates on symmetric operators, not time series; use
-    :func:`run_hermitian`. Ritz values and weights are broadened into a
-    density with half-width ``eta``, peaks are picked greedily and refined,
-    and the broadening is deconvolved out of the fitted linewidths
-    (gamma - eta, floored at eta/10) while amplitudes report each peak's
-    integrated mass, i.e. its Ritz weight.
+    :func:`run_hermitian`. The Ritz values and weights are the nodes and
+    weights of the Gauss quadrature of the start vector's spectral measure,
+    so the heaviest Ritz pairs become the atoms directly: center the Ritz
+    value, amplitude its weight, half-width eta/10. With ``k`` unset, the
+    recurrence stops once every Ritz pair heavy enough to be a non-negligible
+    atom has Paige bound at or below eta/10.
 
 Windows of :func:`detect_anomalies` are independent; results are ordered by
 window start regardless of how they are computed.
@@ -43,22 +44,22 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, IllConditionedError, InputError, SpecLogicError
-from .lanczos import HermitianOp, RitzSpectrum, lanczos_tridiag, spectral_density, tridiag_eigen
+from .lanczos import HermitianOp, RitzSpectrum, lanczos_tridiag, tridiag_eigen
 from .pade import PoleSet, RationalApprox, extract_poles, fit_pade, taylor_coefficients
 from .rules import ProofTrace, RuleSet, infer, load_rules, parse_rules
 from .signal import PreprocessConfig, TimeSeries, preprocess
 from .sparse import (
     LorentzianAtom,
-    LorentzianDictionary,
-    SampledSpectrum,
     SparseSpectrum,
     atoms_from_poles,
     fit_matrix_pencil,
-    fit_omp,
-    refine_nls,
     unit_scale,
 )
 from .symbolic import BinningConfig, SymbolSet, project
+
+# not called here, but the benchmark's span tracer binds these names on this module
+from .lanczos import spectral_density  # noqa: F401
+from .sparse import fit_omp, refine_nls  # noqa: F401
 
 #: Back-ends that estimate time series; ``lanczos`` takes operators instead.
 SIGNAL_BACKENDS = ("matrix_pencil", "pade_z")
@@ -86,7 +87,13 @@ class PadeSettings:
 
 @dataclass(frozen=True)
 class LanczosSettings:
-    """Krylov depth (None means the operator dimension) and broadening."""
+    """Krylov depth and resolution.
+
+    ``k=None`` runs until the non-negligible Ritz pairs converge (Paige
+    bound at or below eta/10), capped at dim; an explicit ``k`` runs exactly
+    k steps unless the recurrence breaks down. ``eta`` is the resolution:
+    atoms report half-width eta/10, the convergence tolerance.
+    """
 
     k: int | None = None
     eta: float = 0.05
@@ -102,18 +109,14 @@ class LanczosSettings:
 @dataclass(frozen=True)
 class SparseSettings:
     """Decomposition limits: ``k_max`` atoms, singular-value cutoff for the
-    pencil, iteration budget for refinement, pursuit stop tolerance."""
+    pencil."""
 
     k_max: int = 4
     sv_tol: float = 1e-8
-    nls_iters: int = 60
-    omp_tol: float = 1e-6
 
     def __post_init__(self):
         if self.k_max < 1:
             raise ConfigError(f"k_max must be positive, got {self.k_max}")
-        if self.nls_iters < 1:
-            raise ConfigError(f"nls_iters must be positive, got {self.nls_iters}")
 
 
 def _matches(value, hint) -> bool:
@@ -337,30 +340,26 @@ def _estimate(x: TimeSeries, cfg: PipelineConfig, diagnostics: dict) -> SparseSp
     )
 
 
-def _atoms_from_ritz(ritz: RitzSpectrum, eta: float, cfg: SparseSettings) -> SparseSpectrum:
-    """Peak-fit the broadened density, then deconvolve the broadening.
+def _atoms_from_ritz(
+    ritz: RitzSpectrum, eta: float, k_max: int, eps: float
+) -> tuple[SparseSpectrum, float]:
+    """The ``k_max`` heaviest Ritz pairs of positive weight as atoms, and
+    the largest Paige bound among those of weight at least ``eps``.
 
-    The density is by construction a sum of width-eta kernels centered on
-    the Ritz values, so the dictionary offers exactly those candidates and
-    greedy pursuit recovers them (or the heaviest ones when k_max
-    truncates). Output amplitudes are the integrated masses pi*gamma*amp of
-    the fitted peaks, i.e. the Ritz weights they represent.
+    Ritz values and weights are the nodes and weights of the Gauss
+    quadrature of the start vector's spectral measure, so each pair is a
+    resonance: center the Ritz value, amplitude its weight, half-width
+    eta/10 (the convergence tolerance). Near pairs are not merged: full
+    reorthogonalization leaves no ghost copies, and a weighted merge of two
+    eigenvalues closer than eta could sit farther than eta/10 from both.
+    ``residual_norm`` is the weight the kept atoms leave out.
     """
-    lo = float(ritz.lambdas.min()) - 20 * eta
-    hi = float(ritz.lambdas.max()) + 20 * eta
-    grid = np.linspace(lo, hi, 2048)
-    target = SampledSpectrum(grid, spectral_density(ritz, grid, eta))
-    dictionary = LorentzianDictionary(np.unique(ritz.lambdas), np.array([eta]))
-    sp = fit_omp(target, dictionary, cfg.k_max, cfg.omp_tol)
-    if sp.atoms:
-        sp = refine_nls(sp, target, cfg.nls_iters)
-    deconvolved = [
-        LorentzianAtom(at.omega, max(at.gamma - eta, eta / 10.0), math.pi * at.gamma * at.amp)
-        for at in sp.atoms
-    ]
-    return SparseSpectrum.from_atoms(
-        deconvolved, sp.residual_norm, sp.dropped, sp.converged
-    )
+    order = np.argsort(-ritz.weights, kind="stable")[:k_max]
+    kept = order[ritz.weights[order] > 0]
+    atoms = [LorentzianAtom(ritz.lambdas[i], eta / 10.0, ritz.weights[i]) for i in kept]
+    residual = max(0.0, 1.0 - float(ritz.weights[kept].sum()))
+    bound = float(np.max(ritz.bounds[kept[ritz.weights[kept] >= eps]], initial=0.0))
+    return SparseSpectrum.from_atoms(atoms, residual), bound
 
 
 @contextmanager
@@ -405,7 +404,11 @@ def run_hermitian(op: HermitianOp, q1, cfg: PipelineConfig) -> RunResult:
     """Execute the pipeline on a symmetric operator (lanczos back-end only).
 
     Preprocessing does not apply; the Krylov start vector plays the role of
-    the signal.
+    the signal. ``diagnostics["estimate"]`` reports the Lanczos ``steps``,
+    ``breakdown``, ``residual_norm`` (the spectral weight of q1 the kept
+    atoms leave out, 0 when they hold all of it) and ``ritz_bound`` (the
+    largest Paige bound over kept atoms of amplitude at least
+    ``binning.negligible_eps``; 0 when there are none).
     """
     if cfg.backend != "lanczos":
         raise ConfigError(
@@ -413,19 +416,28 @@ def run_hermitian(op: HermitianOp, q1, cfg: PipelineConfig) -> RunResult:
         )
     with _stage("rules"):
         ruleset = cfg.load_ruleset()
-    k = cfg.lanczos.k if cfg.lanczos.k is not None else op.dim
+    k, eta, eps = cfg.lanczos.k, cfg.lanczos.eta, cfg.binning.negligible_eps
     with _stage("estimate"):
-        tri = lanczos_tridiag(op, q1, k, cfg.lanczos.reorthogonalize)
+        # k unset: stop once the non-negligible Ritz pairs converge, capped at dim
+        tri = lanczos_tridiag(
+            op,
+            q1,
+            op.dim if k is None else k,
+            cfg.lanczos.reorthogonalize,
+            ritz_tol=eta / 10.0 if k is None else None,
+            min_weight=eps,
+        )
     with _stage("estimate_eigen"):
         ritz = tridiag_eigen(tri)
     with _stage("decompose"):
-        atoms = _atoms_from_ritz(ritz, cfg.lanczos.eta, cfg.sparse)
+        atoms, ritz_bound = _atoms_from_ritz(ritz, eta, cfg.sparse.k_max, eps)
     diagnostics = {
         "estimate": {
             "backend": "lanczos",
             "steps": tri.k,
             "breakdown": tri.breakdown,
             "residual_norm": atoms.residual_norm,
+            "ritz_bound": ritz_bound,
         }
     }
     return _finish(atoms, cfg, ruleset, diagnostics)

@@ -79,11 +79,12 @@ class LorentzianAtom:
 class SparseSpectrum:
     """Atoms sorted by center frequency plus fit diagnostics.
 
-    ``residual_norm`` is the 2-norm of what the producing fit left
-    unexplained (for a signal, the samples minus the kept modes; 0 without a
-    target). ``dropped`` counts candidate modes discarded as growing,
-    undamped or amplitude-free; ``converged`` is cleared by
-    :func:`refine_nls` when it exhausts its iteration budget.
+    ``residual_norm`` is what the producing fit left unexplained: for a
+    signal, the 2-norm of the samples minus the kept modes; for a Ritz
+    spectrum, the share of the start vector's spectral weight the kept atoms
+    leave out; 0 without a target. ``dropped`` counts candidate modes
+    discarded as growing, undamped or amplitude-free; ``converged`` is
+    cleared by :func:`refine_nls` when it exhausts its iteration budget.
     """
 
     atoms: tuple[LorentzianAtom, ...]

@@ -142,10 +142,12 @@ def test_lanczos_backend_rejected_by_parser(workdir, capsys):
         {"sparse": {"k_max": True}},
         {"preprocess": {"window": "hann"}},
         {"preprocess": {"zero_pad_to": 768}},
+        {"sparse": {"nls_iters": 60}},
+        {"sparse": {"omp_tol": 1e-6}},
     ],
     ids=["unknown_key", "unknown_nested_key", "section_not_object", "axis_not_object",
          "wrong_scalar_type", "bool_as_int", "nested_bool_as_int", "removed_window",
-         "removed_zero_pad_to"],
+         "removed_zero_pad_to", "removed_nls_iters", "removed_omp_tol"],
 )
 def test_malformed_config_exits_2(workdir, capsys, change):
     record = reference_config().to_dict()

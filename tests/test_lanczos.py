@@ -10,6 +10,7 @@ from speclogic import (
     spectral_density,
     tridiag_eigen,
 )
+from speclogic.lanczos import CHECK_EVERY
 
 
 def random_symmetric(rng, dim):
@@ -182,3 +183,59 @@ def test_operator_from_matvec_callable():
     op = HermitianOp(5, lambda v: scale * v)
     spec = tridiag_eigen(lanczos_tridiag(op, np.ones(5), 5))
     assert np.allclose(spec.lambdas, scale, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "h_scale, q_scale", [(1.0, 1e-300), (1.0, 1e300), (1e300, 1.0), (1e-300, 1.0)]
+)
+def test_scaled_inputs_keep_the_ritz_spectrum(h_scale, q_scale):
+    # every norm is nrm2, so no scale overflows, underflows or breaks down early
+    h = np.diag([0.5, 5.0, -1.0])
+    q1 = np.ones(3)
+    ref = ritz_of(h, q1, 3)
+    t = lanczos_tridiag(HermitianOp.from_dense(h * h_scale), q1 * q_scale, 3)
+    spec = tridiag_eigen(t)
+    assert t.k == 3 and not t.breakdown
+    assert np.allclose(spec.lambdas / h_scale, ref.lambdas, rtol=1e-12, atol=0)
+    assert np.allclose(spec.weights, ref.weights, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_start_vector_rejected(bad):
+    op = HermitianOp.from_dense(np.diag([0.5, 5.0, -1.0]))
+    with pytest.raises(InputError, match="finite"):
+        lanczos_tridiag(op, np.array([1.0, bad, 1.0]), 3)
+
+
+def test_last_residual_gives_paige_bounds():
+    rng = np.random.default_rng(43)
+    h = random_symmetric(rng, 40)
+    op = HermitianOp.from_dense(h)
+    t = lanczos_tridiag(op, rng.standard_normal(40), 10, store_basis=True)
+    assert t.k == 10 and t.residual > 0
+    spec = tridiag_eigen(t)
+    # with full reorthogonalization the bound is the Ritz pair's residual
+    _, vec = np.linalg.eigh(np.diag(t.alpha) + np.diag(t.beta, 1) + np.diag(t.beta, -1))
+    y = t.basis @ vec
+    actual = np.linalg.norm(h @ y - y * spec.lambdas, axis=0)
+    assert np.allclose(spec.bounds, actual, rtol=1e-8, atol=1e-12)
+    # full depth and breakdown leave no residual
+    assert lanczos_tridiag(op, rng.standard_normal(40), 40).residual == 0.0
+    assert lanczos_tridiag(HermitianOp.from_dense(np.eye(4)), np.ones(4), 3).residual == 0.0
+
+
+def test_ritz_stop_returns_once_heavy_pairs_converge(heavy_pair_operator):
+    rng = np.random.default_rng(47)
+    h, q1 = heavy_pair_operator(rng, 200)
+    op = HermitianOp.from_dense(h)
+    tol, min_weight = 0.005, 0.1
+    t = lanczos_tridiag(op, q1, 200, ritz_tol=tol, min_weight=min_weight)
+    assert t.k < 200 and t.k % CHECK_EVERY == 0
+    assert t.beta.size == t.k - 1 and t.breakdown is False
+    spec = tridiag_eigen(t)
+    heavy = spec.weights >= min_weight
+    assert heavy.sum() >= 2 and np.all(spec.bounds[heavy] <= tol)
+    true = np.linalg.eigvalsh(h)
+    assert all(np.min(np.abs(true - lam)) <= tol for lam in spec.lambdas[heavy])
+    # without a tolerance exactly k steps run
+    assert lanczos_tridiag(op, q1, t.k + 3).k == t.k + 3

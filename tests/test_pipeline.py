@@ -107,7 +107,7 @@ def test_run_hermitian_two_level():
         binning=wide_open_bins(),
         backend="lanczos",
         lanczos=LanczosSettings(eta=0.05),
-        sparse=SparseSettings(k_max=4, omp_tol=1e-8),
+        sparse=SparseSettings(k_max=4),
         rules_text="resonance_low & resonance_high => both_bands\n",
     )
     op = HermitianOp.from_dense(np.diag([0.5, 5.0]))
@@ -144,7 +144,7 @@ def test_run_hermitian_full_k_matches_dense_eigenvalues():
         binning=wide_open_bins(),
         backend="lanczos",
         lanczos=LanczosSettings(eta=eta),
-        sparse=SparseSettings(k_max=60, omp_tol=1e-7),
+        sparse=SparseSettings(k_max=60),
         rules_text="resonance_high => excited\n",
     )
     result = run_hermitian(HermitianOp.from_dense(h), rng.standard_normal(50), cfg)
@@ -152,6 +152,55 @@ def test_run_hermitian_full_k_matches_dense_eigenvalues():
     true = np.linalg.eigvalsh(h)
     dist = np.abs(centers[:, None] - true[None, :]).min(axis=1)
     assert np.max(dist) <= eta / 10
+
+
+def heavy_pair_config(**lanczos_kw):
+    return PipelineConfig(
+        binning=BinningConfig(
+            omega_bins=BinAxis((-10.0, 0.0), ("neg", "pos")),
+            gamma_bins=BinAxis((0.0,), ("any",)),
+            amp_bins=BinAxis((0.0,), ("any",)),
+            negligible_eps=0.1,
+        ),
+        backend="lanczos",
+        lanczos=LanczosSettings(eta=0.05, **lanczos_kw),
+        rules_text="resonance_neg & resonance_pos => split\n",
+    )
+
+
+def test_run_hermitian_stops_once_heavy_atoms_converge(heavy_pair_operator):
+    rng = np.random.default_rng(53)
+    cfg = heavy_pair_config()
+    eta, eps = cfg.lanczos.eta, cfg.binning.negligible_eps
+    for _ in range(8):
+        h, q1 = heavy_pair_operator(rng, 160)
+        result = run_hermitian(HermitianOp.from_dense(h), q1, cfg)
+        est = result.diagnostics["estimate"]
+        assert est["steps"] < 160 and not est["breakdown"]
+        assert 0 < est["ritz_bound"] <= eta / 10
+        true = np.linalg.eigvalsh(h)
+        heavy = [at.omega for at in result.atoms.atoms if at.amp >= eps]
+        assert len(heavy) >= 2
+        assert all(np.min(np.abs(true - omega)) <= eta / 10 for omega in heavy)
+        kept = sum(at.amp for at in result.atoms.atoms)
+        assert est["residual_norm"] == pytest.approx(1.0 - kept, abs=1e-12)
+
+
+def test_run_hermitian_explicit_k_runs_exactly_k_steps(heavy_pair_operator):
+    h, q1 = heavy_pair_operator(np.random.default_rng(59), 160)
+    result = run_hermitian(HermitianOp.from_dense(h), q1, heavy_pair_config(k=37))
+    assert result.diagnostics["estimate"]["steps"] == 37
+
+
+def test_run_hermitian_calls_no_density_or_peak_fit(monkeypatch, heavy_pair_operator):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_hermitian reads atoms off the Ritz pairs")
+
+    for name in ("fit_omp", "refine_nls", "spectral_density"):
+        monkeypatch.setattr(pipeline, name, forbidden)
+    h, q1 = heavy_pair_operator(np.random.default_rng(61), 60)
+    result = run_hermitian(HermitianOp.from_dense(h), q1, heavy_pair_config())
+    assert "split" in result.derived.names
 
 
 def test_run_hermitian_requires_lanczos_backend():

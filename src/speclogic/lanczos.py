@@ -29,7 +29,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, InputError, NumericError
+from .sparse import unit_scale
 
 #: beta_j <= BREAKDOWN_RTOL * ||H q1|| terminates the recurrence.
 BREAKDOWN_RTOL = 1e-12
@@ -43,6 +44,8 @@ SYMMETRY_RTOL = 1e-12
 #: call took 26 ms checking every step, 17 ms every 4, and 12-14 ms every 8,
 #: 12 or 16 (within noise of each other).
 CHECK_EVERY = 8
+
+_OVERFLOW = "the Lanczos recurrence overflows float64; rescale the operator"
 
 
 class HermitianOp:
@@ -67,8 +70,10 @@ class HermitianOp:
             raise InputError(f"expected a square matrix, got shape {h.shape}")
         if not np.all(np.isfinite(h)):
             raise InputError("matrix entries must be finite")
-        scale = float(np.max(np.abs(h)))
-        if scale > 0 and float(np.max(np.abs(h - h.T))) > SYMMETRY_RTOL * scale:
+        # the exact division by a power of two keeps h - h.T from overflowing
+        unit = h / unit_scale(h)
+        scale = float(np.max(np.abs(unit)))
+        if scale > 0 and float(np.max(np.abs(unit - unit.T))) > SYMMETRY_RTOL * scale:
             raise InputError("matrix is not symmetric to relative tolerance 1e-12")
         return cls(h.shape[0], lambda v: h @ v)
 
@@ -159,6 +164,8 @@ def _converged(alphas, betas, beta: float, tol: float, min_weight: float) -> boo
     return bool(np.all(beta * np.abs(vec[-1, heavy]) <= tol))
 
 
+# an overflow in H q or in the recurrence raises NumericError below, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def lanczos_tridiag(
     op: HermitianOp,
     q1,
@@ -211,6 +218,8 @@ def lanczos_tridiag(
         if tol is None:
             tol = BREAKDOWN_RTOL * _nrm2(w)
         alpha = float(q @ w)
+        if not (math.isfinite(alpha) and math.isfinite(tol)):
+            raise NumericError(_OVERFLOW)
         alphas.append(alpha)
         if j == op.dim - 1:
             break  # the Krylov space is the whole space: the residual is 0
@@ -218,6 +227,8 @@ def lanczos_tridiag(
         if reorthogonalize and j > 0:
             w -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ w)
         beta = _nrm2(w)
+        if not math.isfinite(beta):
+            raise NumericError(_OVERFLOW)
         if beta <= tol:
             # after the last requested step a vanishing residual is no early stop
             breakdown = j < k - 1

@@ -25,8 +25,10 @@ and forward-chains the configured rules, capturing every intermediate in a
     recurrence stops once every Ritz pair heavy enough to be a non-negligible
     atom has Paige bound at or below eta/10.
 
-Windows of :func:`detect_anomalies` are independent; results are ordered by
-window start regardless of how they are computed.
+Windows of :func:`detect_anomalies` are independent: the matrix pencil fits
+them as stacked batches of at most ``DETECT_CHUNK_ELEMENTS`` Hankel entries,
+and each window's result equals :func:`run` on that window alone, byte for
+byte. Results are ordered by window start.
 """
 
 from __future__ import annotations
@@ -66,6 +68,11 @@ SIGNAL_BACKENDS = ("matrix_pencil", "pade_z")
 BACKENDS = (*SIGNAL_BACKENDS, "lanczos")
 
 MAX_PADE_ORDER = 64
+
+#: Hankel-stack entries (float64) one batched pencil fit of
+#: :func:`detect_anomalies` may hold, 8 MiB; a chunk holds at least one
+#: window, so a long stream at stride 1 needs no more memory than a short one.
+DETECT_CHUNK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -301,9 +308,16 @@ def _signal_modes(poles: PoleSet) -> PoleSet:
         return PoleSet(1.0 / poles.poles, -poles.residues / poles.poles)
 
 
-def _estimate(x: TimeSeries, cfg: PipelineConfig, diagnostics: dict) -> SparseSpectrum:
+def _fit_pencil(x, cfg: PipelineConfig):
+    """The configured matrix-pencil fit of one series or a batch of windows."""
+    return fit_matrix_pencil(x, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
+
+
+def _estimate(
+    x: TimeSeries, cfg: PipelineConfig, diagnostics: dict, fit: SparseSpectrum | None
+) -> SparseSpectrum:
     if cfg.backend == "matrix_pencil":
-        sp = fit_matrix_pencil(x, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
+        sp = _fit_pencil(x, cfg) if fit is None else fit
         diagnostics["estimate"] = {
             "backend": "matrix_pencil",
             "residual_norm": sp.residual_norm,
@@ -385,18 +399,31 @@ def _finish(
     return RunResult(atoms, predicates, derived, trace, diagnostics)
 
 
-def run(x: TimeSeries, cfg: PipelineConfig) -> RunResult:
-    """Execute the full pipeline on a time series."""
-    with _stage("rules"):
-        ruleset = cfg.load_ruleset()
+def _preprocessed(x: TimeSeries, cfg: PipelineConfig) -> TimeSeries:
     with _stage("preprocess"):
         pre = preprocess(x, cfg.preprocess)
         # residuals are reported at input scale, and an infinite one is not JSON
         if not math.isfinite(scipy.linalg.norm(pre.samples, check_finite=False)):
             raise InputError("the signal's 2-norm overflows float64; rescale it")
+    return pre
+
+
+def run(x: TimeSeries, cfg: PipelineConfig, fit: SparseSpectrum | None = None) -> RunResult:
+    """Execute the full pipeline on a time series.
+
+    ``fit`` is the matrix-pencil fit of the preprocessed ``x`` made by the
+    caller in a stacked batch (see :func:`detect_anomalies`); the estimate
+    stage then takes it in place of fitting ``x`` alone, which gives the
+    same spectrum.
+    """
+    if fit is not None and cfg.backend != "matrix_pencil":
+        raise ConfigError(f"a given fit is a matrix-pencil fit, config says {cfg.backend!r}")
+    with _stage("rules"):
+        ruleset = cfg.load_ruleset()
+    pre = _preprocessed(x, cfg)
     diagnostics: dict = {"preprocess": {"samples": len(pre)}}
     with _stage("estimate"):
-        atoms = _estimate(pre, cfg, diagnostics)
+        atoms = _estimate(pre, cfg, diagnostics, fit)
     return _finish(atoms, cfg, ruleset, diagnostics)
 
 
@@ -458,6 +485,10 @@ def detect_anomalies(
     ``alert_head``. The head must be a predicate that some configured rule
     mentions (so never a malformed name), else :class:`InputError`: a
     misspelt head would otherwise read as "no anomaly".
+
+    With the matrix pencil, windows are fitted in chunks as stacked batches
+    whose Hankel stack holds at most ``DETECT_CHUNK_ELEMENTS`` entries (at
+    least one window); each window's result equals :func:`run` on it alone.
     """
     n = len(x)
     if not 2 <= window <= n:
@@ -468,10 +499,20 @@ def detect_anomalies(
         ruleset = cfg.load_ruleset()
     if alert_head not in ruleset.predicates():
         raise InputError(f"no configured rule mentions the alert head {alert_head!r}")
+    starts = range(0, n - window + 1, stride)
+    # a window's Hankel matrix in the pencil is (window - L) x (L + 1), L = window // 2
+    per_chunk = max(1, DETECT_CHUNK_ELEMENTS // ((window - window // 2) * (window // 2 + 1)))
     flagged = []
-    for start in range(0, n - window + 1, stride):
-        segment = TimeSeries(x.samples[start : start + window], x.dt, x.label)
-        result = run(segment, cfg)
-        if alert_head in result.derived.names:
-            flagged.append((start, result))
+    for first in range(0, len(starts), per_chunk):
+        chunk = starts[first : first + per_chunk]
+        segments = [TimeSeries(x.samples[start : start + window], x.dt, x.label) for start in chunk]
+        fits = [None] * len(segments)
+        if cfg.backend == "matrix_pencil":
+            windows = [_preprocessed(segment, cfg) for segment in segments]
+            with _stage("estimate"):
+                fits = _fit_pencil(windows, cfg)
+        for start, segment, fit in zip(chunk, segments, fits):
+            result = run(segment, cfg, fit)
+            if alert_head in result.derived.names:
+                flagged.append((start, result))
     return flagged

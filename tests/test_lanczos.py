@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from speclogic import (
     HermitianOp,
     InputError,
+    NumericError,
     RitzSpectrum,
     TridiagResult,
     lanczos_tridiag,
@@ -198,6 +201,21 @@ def test_scaled_inputs_keep_the_ritz_spectrum(h_scale, q_scale):
     assert t.k == 3 and not t.breakdown
     assert np.allclose(spec.lambdas / h_scale, ref.lambdas, rtol=1e-12, atol=0)
     assert np.allclose(spec.weights, ref.weights, rtol=1e-12, atol=0)
+
+
+def test_near_max_antisymmetric_matrix_rejected_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="symmetric"):
+            HermitianOp.from_dense([[0.0, 1.5e308], [-1.5e308, 0.0]])
+
+
+def test_overflowing_recurrence_is_a_numeric_error():
+    op = HermitianOp.from_dense(np.full((3, 3), 1.5e308))  # H q1 overflows float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="overflows"):
+            lanczos_tridiag(op, np.ones(3), 3)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from speclogic import (
     IllConditionedError,
     InputError,
     PipelineConfig,
+    SpecLogicError,
     TimeSeries,
     auto_order_sweep,
     detect_anomalies,
@@ -25,6 +27,7 @@ from speclogic.benchmark import REGIME_NAMES, reference_config, synth_oscillator
 from speclogic import pipeline
 from speclogic.pade import PoleSet
 from speclogic.pipeline import LanczosSettings, PadeSettings, SparseSettings
+from speclogic.sparse import fit_matrix_pencil
 
 
 def damped_cosine(omega, gamma, n=256, dt=0.05, amp=1.0):
@@ -321,6 +324,131 @@ def test_detect_validates_window_and_stride():
 def test_detect_rejects_alert_head_no_rule_mentions(head):
     with pytest.raises(InputError):
         detect_anomalies(changepoint_series(100), shift_config(), 128, 16, head)
+
+
+def detect_streams(seed, n=512, dt=0.05):
+    """Four changepoint streams (even ones shift frequency by 20-30 %), then
+    hostile ones: an all-zero stretch, a constant stretch, a lone spike, the
+    first stream scaled by 1e300 and by 1e-300, and a burst 1e9 times louder
+    than the rest of the stream (so windows of one batch differ in scale)."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * dt
+    streams = []
+    for i in range(4):
+        omega1, gamma = rng.uniform(2.6, 3.0), rng.uniform(0.08, 0.15)
+        omega2 = omega1 * rng.uniform(1.2, 1.3) if i % 2 == 0 else omega1
+        change = 16 * int(rng.integers(10, 23))
+        streams.append(
+            np.exp(-gamma * t) * np.where(np.arange(n) < change, np.cos(omega1 * t), np.cos(omega2 * t))
+        )
+    zeros, const, spike = streams[0].copy(), streams[0].copy(), np.zeros(n)
+    zeros[150:350] = 0.0
+    const[150:350] = 0.7
+    spike[200] = 1.0
+    burst = streams[1].copy()
+    burst[:100] *= 1e9
+    streams += [zeros, const, spike, 1e300 * streams[0], 1e-300 * streams[0], burst]
+    return [TimeSeries(x, dt) for x in streams]
+
+
+def windows_of(x, window, stride):
+    starts = range(0, len(x) - window + 1, stride)
+    return starts, [TimeSeries(x.samples[s : s + window], x.dt, x.label) for s in starts]
+
+
+def reference_detect(x, cfg, window, stride, head):
+    """detect_anomalies as a plain loop of run over the windows."""
+    starts, segments = windows_of(x, window, stride)
+    results = [(start, run(segment, cfg)) for start, segment in zip(starts, segments)]
+    return [(start, res.to_json()) for start, res in results if head in res.derived.names]
+
+
+def detect_json(x, cfg, window, stride, head="anomaly"):
+    return [(start, res.to_json()) for start, res in detect_anomalies(x, cfg, window, stride, head)]
+
+
+def spectrum_record(sp):
+    return sp.atoms, sp.residual_norm, sp.dropped, sp.converged
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_pencil_equals_each_window_alone(seed):
+    cfg = dataclasses.replace(shift_config(), seed=seed)
+    for x in detect_streams(seed):
+        _, segments = windows_of(x, 128, 16)
+        batch = fit_matrix_pencil(segments, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
+        assert len(batch) == len(segments)
+        for segment, fit in zip(segments, batch):
+            alone = fit_matrix_pencil(segment, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
+            assert spectrum_record(fit) == spectrum_record(alone)
+            assert run(segment, cfg, fit).to_json() == run(segment, cfg).to_json()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [shift_config(), dataclasses.replace(shift_config(), backend="pade_z", pade=PadeSettings(auto=True))],
+    ids=["matrix_pencil", "pade_z"],
+)
+def test_detect_equals_a_loop_of_runs(cfg):
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except SpecLogicError as exc:  # pade_z raises on some hostile windows
+            return type(exc), str(exc)
+
+    flagged = 0
+    for seed in range(2):
+        for x in detect_streams(seed):
+            expected = outcome(reference_detect, x, cfg, 128, 16, "anomaly")
+            assert outcome(detect_json, x, cfg, 128, 16) == expected
+            flagged += isinstance(expected, list) and len(expected)
+    assert flagged > 0
+
+
+@pytest.mark.parametrize("stride", [16, 23])
+def test_chunking_does_not_change_detect(monkeypatch, stride):
+    cfg = shift_config()
+    x = detect_streams(3)[0]
+    per_window = (128 - 64) * (64 + 1)
+    sizes = []
+
+    def recording(windows, *args):
+        sizes.append(len(windows))
+        return fit_matrix_pencil(windows, *args)
+
+    monkeypatch.setattr(pipeline, "fit_matrix_pencil", recording)
+    outputs = [detect_json(x, cfg, 128, stride)]
+    count = sizes[0]  # 25 windows at stride 16, 17 at stride 23: one default chunk
+    for per_chunk in (1, 7):
+        sizes.clear()
+        monkeypatch.setattr(pipeline, "DETECT_CHUNK_ELEMENTS", per_chunk * per_window)
+        outputs.append(detect_json(x, cfg, 128, stride))
+        assert sizes == [len(range(count)[i : i + per_chunk]) for i in range(0, count, per_chunk)]
+    assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == reference_detect(x, cfg, 128, stride, "anomaly")
+
+
+def test_run_rejects_a_fit_for_another_backend():
+    x = damped_cosine(2.6, 0.15)
+    fit = fit_matrix_pencil(x, 4)
+    cfg = PipelineConfig(binning=wide_open_bins(), backend="pade_z", rules_text="a => b\n")
+    with pytest.raises(ConfigError, match="matrix-pencil"):
+        run(x, cfg, fit)
+
+
+def test_detect_errors_stay_typed():
+    cfg = shift_config()
+    x = detect_streams(0)[0].samples.copy()
+    x[300:302] = 1.5e308  # finite samples, but a window holding both has no finite 2-norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as err:
+            detect_anomalies(TimeSeries(x, 0.05), cfg, 128, 16, "anomaly")
+        assert err.value.stage == "preprocess"
+        short = 2 * (2 * cfg.sparse.k_max) + 1  # one sample short of 2 * k_max pencil modes
+        with pytest.raises(InputError) as err:
+            detect_anomalies(detect_streams(0)[0], cfg, short, 16, "anomaly")
+        assert err.value.stage == "estimate"
 
 
 def test_auto_order_sweep_one_pole():

@@ -203,6 +203,13 @@ def test_pencil_too_short():
         fit_matrix_pencil(TimeSeries(np.ones(9), 0.1), 4)
 
 
+def test_pencil_batch_needs_equal_length_windows():
+    with pytest.raises(InputError, match="equal length"):
+        fit_matrix_pencil([TimeSeries(np.ones(20), 0.1), TimeSeries(np.ones(21), 0.1)], 4)
+    with pytest.raises(InputError, match="at least one"):
+        fit_matrix_pencil([], 4)
+
+
 def pencil_no_warnings(samples, max_modes=8, dt=0.05, seed=0):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

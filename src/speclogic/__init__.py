@@ -12,7 +12,6 @@ from .errors import (
     IllConditionedError,
     InputError,
     NumericError,
-    PoleProximityError,
     RuleSyntaxError,
     SpecLogicError,
     StratificationError,
@@ -25,7 +24,7 @@ from .lanczos import (
     spectral_density,
     tridiag_eigen,
 )
-from .pade import PoleSet, RationalApprox, eval_rational, extract_poles, fit_pade
+from .pade import PoleSet, RationalApprox, extract_poles, fit_pade
 from .pipeline import (
     PipelineConfig,
     RunResult,
@@ -65,7 +64,6 @@ __all__ = [
     "LorentzianDictionary",
     "NumericError",
     "PipelineConfig",
-    "PoleProximityError",
     "PoleSet",
     "Predicate",
     "PreprocessConfig",
@@ -87,7 +85,6 @@ __all__ = [
     "auto_order_sweep",
     "autocorrelation",
     "detect_anomalies",
-    "eval_rational",
     "eval_spectrum",
     "extract_poles",
     "fit_matrix_pencil",

@@ -63,13 +63,5 @@ class IllConditionedError(NumericError):
         self.residual = residual
 
 
-class PoleProximityError(NumericError):
-    """Evaluation point too close to a pole; carries the offending root."""
-
-    def __init__(self, point: complex, pole: complex):
-        super().__init__(f"evaluation point {point} is within 1e-12 of pole {pole}")
-        self.pole = pole
-
-
 class ConvergenceError(NumericError):
     """An iterative solver exhausted its iteration budget."""

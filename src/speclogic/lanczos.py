@@ -12,12 +12,14 @@ enough to matter has converged: Paige's bound beta_k * |s_kj| on the pair's
 residual ||H y_j - theta_j y_j|| (Paige 1980), with s_kj the last component
 of the tridiagonal eigenvector, is at or below the tolerance.
 
-Full reorthogonalization is on by default: floating-point Lanczos loses
-orthogonality quickly, and at desk scale correctness beats speed. Breakdown
-(a vanishing recurrence residual) means an exact invariant subspace was
-found and is reported as a success, not an error. Every norm is BLAS nrm2,
-which scales as it sums, so neither a 1e300 nor a 1e-300 operator or start
-vector overflows or vanishes.
+Every step applies full reorthogonalization against the Krylov basis:
+floating-point Lanczos otherwise loses orthogonality quickly and returns
+ghost copies of converged Ritz values, which would read as extra
+resonances. The basis is returned with the tridiagonal. Breakdown (a
+vanishing recurrence residual) means an exact invariant subspace was found
+and is reported as a success, not an error. Every norm is BLAS nrm2, which
+scales as it sums, so neither a 1e300 nor a 1e-300 operator or start vector
+overflows or vanishes.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class TridiagResult:
     termination on an invariant subspace. ``residual`` is the last
     recurrence residual beta_k, the norm of what H q_k leaves outside the
     Krylov basis: 0 at full depth (k = dim) and on breakdown. ``basis``
-    holds the Krylov basis as columns when storage was requested.
+    holds the orthonormal Krylov basis as columns; it is None only for a
+    tridiagonal built by hand.
     """
 
     alpha: np.ndarray
@@ -170,15 +173,15 @@ def lanczos_tridiag(
     op: HermitianOp,
     q1,
     k: int,
-    reorthogonalize: bool = True,
-    store_basis: bool = False,
     ritz_tol: float | None = None,
     min_weight: float = 0.0,
 ) -> TridiagResult:
     """Run k steps of the symmetric Lanczos recurrence started from q1.
 
-    ``q1`` need not be normalized but must be finite and nonzero. Terminates
-    early with ``breakdown=True`` when the recurrence residual drops below
+    ``q1`` need not be normalized but must be finite and nonzero. Each new
+    basis vector gets full reorthogonalization against all earlier ones, and
+    the result carries the basis (a view, not a copy). Terminates early with
+    ``breakdown=True`` when the recurrence residual drops below
     1e-12*||H q1||, returning the steps achieved so far.
 
     With ``ritz_tol`` set, ``k`` is a cap: every ``CHECK_EVERY`` steps the
@@ -200,10 +203,8 @@ def lanczos_tridiag(
     # dividing by the peak first keeps a subnormal q1's precision
     q = q / peak
     q = q / _nrm2(q)
-    keep_basis = reorthogonalize or store_basis
-    basis = np.empty((op.dim, k)) if keep_basis else None
-    if keep_basis:
-        basis[:, 0] = q
+    basis = np.empty((op.dim, k))
+    basis[:, 0] = q
 
     alphas: list[float] = []
     betas: list[float] = []
@@ -224,7 +225,7 @@ def lanczos_tridiag(
         if j == op.dim - 1:
             break  # the Krylov space is the whole space: the residual is 0
         w = w - alpha * q - beta_prev * q_prev
-        if reorthogonalize and j > 0:
+        if j > 0:
             w -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ w)
         beta = _nrm2(w)
         if not math.isfinite(beta):
@@ -241,8 +242,7 @@ def lanczos_tridiag(
         q_prev = q
         q = w / beta
         beta_prev = beta
-        if keep_basis:
-            basis[:, j + 1] = q
+        basis[:, j + 1] = q
 
     achieved = len(alphas)
     return TridiagResult(
@@ -250,7 +250,7 @@ def lanczos_tridiag(
         np.array(betas),
         achieved,
         breakdown,
-        basis[:, :achieved].copy() if store_basis else None,
+        basis[:, :achieved],
         residual,
     )
 

@@ -13,13 +13,12 @@ blocks of the approximant table) are resolved by minimum-norm least squares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dtbtrs
 
-from .errors import IllConditionedError, InputError, PoleProximityError
+from .errors import IllConditionedError, InputError
 
 #: Solver residuals above this fraction of ||c|| are reported as failures.
 MOMENT_RESIDUAL_RTOL = 1e-6
@@ -27,9 +26,6 @@ MOMENT_RESIDUAL_RTOL = 1e-6
 #: Two denominator roots closer than this, relative to the larger modulus,
 #: are flagged as a multiple pole.
 MULTIPLE_POLE_RTOL = 1e-6
-
-#: Evaluation refuses points within this distance of a denominator root.
-POLE_PROXIMITY_TOL = 1e-12
 
 
 def _horner(coeffs: np.ndarray, s):
@@ -68,11 +64,6 @@ class RationalApprox:
     def denominator(self) -> np.ndarray:
         """Full ascending denominator coefficients, starting with 1."""
         return np.concatenate(([1.0], self.b))
-
-    @cached_property
-    def denominator_roots(self) -> np.ndarray:
-        """Roots of the denominator via companion-matrix eigenvalues."""
-        return _polynomial_roots(self.denominator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,18 +162,6 @@ def taylor_coefficients(r: RationalApprox, count: int) -> np.ndarray:
     rhs[: r.m + 1] = r.a[:count]
     d, _ = dtbtrs(band, rhs, uplo="L", diag="U")
     return d
-
-
-def eval_rational(r: RationalApprox, s: complex) -> complex:
-    """Evaluate P_m(s)/Q_n(s) by Horner's scheme on both polynomials.
-
-    Points within 1e-12 of a denominator root are refused.
-    """
-    s = complex(s)
-    for root in r.denominator_roots:
-        if abs(s - root) < POLE_PROXIMITY_TOL:
-            raise PoleProximityError(s, root)
-    return complex(_horner(r.a, s) / _horner(r.denominator, s))
 
 
 def extract_poles(r: RationalApprox) -> PoleSet:

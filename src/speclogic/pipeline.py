@@ -104,7 +104,6 @@ class LanczosSettings:
 
     k: int | None = None
     eta: float = 0.05
-    reorthogonalize: bool = True
 
     def __post_init__(self):
         if self.k is not None and self.k < 1:
@@ -247,17 +246,14 @@ class RunResult:
 
 
 class SweepResult(NamedTuple):
-    """Outcome of the automatic order sweep.
-
-    ``rational`` is the fit of the chosen order, or None when that order's
-    moment system was ill-conditioned or the series is all zero.
-    """
+    """Outcome of the automatic order sweep: the chosen orders, the
+    relative residual of their re-expansion and their fit ``rational``."""
 
     m: int
     n: int
     residual: float
     converged: bool
-    rational: RationalApprox | None = None
+    rational: RationalApprox
 
 
 def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
@@ -265,33 +261,39 @@ def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
     re-expansion of the fit reproduces the whole available series to
     ``residual_tol`` (relative). Falls back to the minimal-residual order
     with ``converged=False`` when no order reaches the tolerance. A
-    re-expansion that overflows counts as an infinite residual.
+    re-expansion that overflows counts as an infinite residual. An order
+    whose moment system is ill-conditioned is never chosen; when every
+    order is, the last order's :class:`IllConditionedError` is raised.
     """
     c = np.asarray(c, dtype=float)
     if n_max < 1:
         raise InputError(f"n_max must be positive, got {n_max}")
+    if c.size < 2:
+        raise InputError(f"need at least 2 series coefficients, got {c.size}")
     scale = float(scipy.linalg.norm(c, check_finite=False))
     if scale == 0:
-        return SweepResult(0, 1, 0.0, True)
+        return SweepResult(0, 1, 0.0, True, fit_pade(c, 0, 1))
     best: SweepResult | None = None
     for n in range(1, min(n_max, c.size // 2) + 1):
         m = n - 1
         try:
             r = fit_pade(c, m, n)
         except IllConditionedError as exc:
-            candidate = SweepResult(m, n, exc.residual / scale, False)
-        else:
-            tail = taylor_coefficients(r, c.size)
-            # BLAS nrm2 scales as it sums, so a huge but finite tail gives a
-            # finite norm; a tail that overflowed (inf/nan) counts as inf.
-            residual = float(scipy.linalg.norm(tail - c, check_finite=False)) / scale
-            if not math.isfinite(residual):
-                residual = math.inf
-            candidate = SweepResult(m, n, residual, False, r)
-        if candidate.residual <= residual_tol:
-            return candidate._replace(converged=True)
-        if best is None or candidate.residual < best.residual:
+            error = exc
+            continue
+        tail = taylor_coefficients(r, c.size)
+        # BLAS nrm2 scales as it sums, so a huge but finite tail gives a
+        # finite norm; a tail that overflowed (inf/nan) counts as inf.
+        residual = float(scipy.linalg.norm(tail - c, check_finite=False)) / scale
+        if not math.isfinite(residual):
+            residual = math.inf
+        candidate = SweepResult(m, n, residual, residual <= residual_tol, r)
+        if candidate.converged:
+            return candidate
+        if best is None or residual < best.residual:
             best = candidate
+    if best is None:
+        raise error
     return best
 
 
@@ -327,16 +329,14 @@ def _estimate(
     if cfg.backend == "pade_z":
         scale = unit_scale(x.samples)
         c = x.samples / scale
-        rational = None
         if cfg.pade.auto:
             sweep = auto_order_sweep(c, cfg.pade.n_max, cfg.pade.residual_tol)
             m, n, rational = sweep.m, sweep.n, sweep.rational
             order_diag = {"auto": True, "residual": sweep.residual, "converged": sweep.converged}
         else:
             m, n = cfg.pade.m, cfg.pade.n
-            order_diag = {"auto": False}
-        if rational is None:
             rational = fit_pade(c, m, n)
+            order_diag = {"auto": False}
         poles = extract_poles(rational)
         sp = atoms_from_poles(_signal_modes(poles), x.dt, c, scale)
         diagnostics["estimate"] = {
@@ -363,9 +363,10 @@ def _atoms_from_ritz(
     Ritz values and weights are the nodes and weights of the Gauss
     quadrature of the start vector's spectral measure, so each pair is a
     resonance: center the Ritz value, amplitude its weight, half-width
-    eta/10 (the convergence tolerance). Near pairs are not merged: full
-    reorthogonalization leaves no ghost copies, and a weighted merge of two
-    eigenvalues closer than eta could sit farther than eta/10 from both.
+    eta/10 (the convergence tolerance). Near pairs are not merged: the
+    recurrence always runs full reorthogonalization, so it leaves no ghost
+    copies, and a weighted merge of two eigenvalues closer than eta could
+    sit farther than eta/10 from both.
     ``residual_norm`` is the weight the kept atoms leave out.
     """
     order = np.argsort(-ritz.weights, kind="stable")[:k_max]
@@ -450,7 +451,6 @@ def run_hermitian(op: HermitianOp, q1, cfg: PipelineConfig) -> RunResult:
             op,
             q1,
             op.dim if k is None else k,
-            cfg.lanczos.reorthogonalize,
             ritz_tol=eta / 10.0 if k is None else None,
             min_weight=eps,
         )

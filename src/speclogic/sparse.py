@@ -34,9 +34,6 @@ from .errors import InputError, NumericError
 from .pade import PoleSet
 from .signal import TimeSeries
 
-#: Atoms closer than this in both omega and gamma are merged.
-MERGE_TOL = 1e-9
-
 #: Default relative singular-value cutoff for pencil order selection.
 SV_TOL_DEFAULT = 1e-8
 
@@ -100,8 +97,6 @@ class SparseSpectrum:
         for prev, cur in zip(atoms, atoms[1:]):
             if cur.omega < prev.omega:
                 raise InputError("atoms must be sorted by omega")
-            if abs(cur.omega - prev.omega) < MERGE_TOL and abs(cur.gamma - prev.gamma) < MERGE_TOL:
-                raise InputError("atoms within merge tolerance must be merged")
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -114,20 +109,12 @@ class SparseSpectrum:
         dropped: int = 0,
         converged: bool = True,
     ) -> "SparseSpectrum":
-        """Sort atoms by omega and merge near-duplicates by summing amplitude."""
+        """Sort atoms by (omega, gamma). Close atoms are all kept: a fixed
+        merge tolerance would depend on the input's scale, and each producer
+        already collapses what is one resonance (a conjugate partner in
+        :func:`atoms_from_poles`)."""
         ordered = sorted(atoms, key=lambda at: (at.omega, at.gamma))
-        merged: list[LorentzianAtom] = []
-        for atom in ordered:
-            if (
-                merged
-                and abs(atom.omega - merged[-1].omega) < MERGE_TOL
-                and abs(atom.gamma - merged[-1].gamma) < MERGE_TOL
-            ):
-                last = merged[-1]
-                merged[-1] = LorentzianAtom(last.omega, last.gamma, last.amp + atom.amp)
-            else:
-                merged.append(atom)
-        return cls(tuple(merged), float(residual_norm), dropped, converged)
+        return cls(tuple(ordered), float(residual_norm), dropped, converged)
 
     def to_dict(self) -> dict:
         return {

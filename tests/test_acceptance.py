@@ -106,7 +106,7 @@ def test_criterion_3_lanczos_exactness():
         a = rng.standard_normal((dim, dim))
         h = (a + a.T) / (2 * np.sqrt(dim))
         op = HermitianOp.from_dense(h)
-        tri = lanczos_tridiag(op, rng.standard_normal(dim), dim, reorthogonalize=True)
+        tri = lanczos_tridiag(op, rng.standard_normal(dim), dim)
         assert tri.k == dim
         spec = tridiag_eigen(tri)
         truth = np.linalg.eigvalsh(h)

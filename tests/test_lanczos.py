@@ -21,9 +21,8 @@ def random_symmetric(rng, dim):
     return (a + a.T) / 2
 
 
-def ritz_of(matrix, q1, k, **kw):
-    op = HermitianOp.from_dense(matrix)
-    return tridiag_eigen(lanczos_tridiag(op, q1, k, **kw))
+def ritz_of(matrix, q1, k):
+    return tridiag_eigen(lanczos_tridiag(HermitianOp.from_dense(matrix), q1, k))
 
 
 def test_from_dense_rejects_asymmetric():
@@ -75,7 +74,7 @@ def test_start_vector_and_k_validation():
 def test_basis_storage_orthonormal():
     rng = np.random.default_rng(5)
     h = random_symmetric(rng, 30)
-    t = lanczos_tridiag(HermitianOp.from_dense(h), rng.standard_normal(30), 12, store_basis=True)
+    t = lanczos_tridiag(HermitianOp.from_dense(h), rng.standard_normal(30), 12)
     gram = t.basis.T @ t.basis
     assert np.allclose(gram, np.eye(t.k), atol=1e-10)
 
@@ -135,16 +134,6 @@ def test_extremal_convergence():
     spec = ritz_of(h, rng.standard_normal(120), 45)
     assert abs(spec.lambdas[0] - true[0]) <= 1e-6
     assert abs(spec.lambdas[-1] - true[-1]) <= 1e-6
-
-
-def test_no_reorthogonalization_mode_runs():
-    rng = np.random.default_rng(41)
-    h = random_symmetric(rng, 50)
-    spec = ritz_of(h, rng.standard_normal(50), 30, reorthogonalize=False)
-    true = np.linalg.eigvalsh(h)
-    # extremes still converge without reorthogonalization, just less sharply
-    assert abs(spec.lambdas[-1] - true[-1]) <= 1e-3
-    assert abs(spec.lambdas[0] - true[0]) <= 1e-3
 
 
 def test_density_peak_value():
@@ -229,7 +218,7 @@ def test_last_residual_gives_paige_bounds():
     rng = np.random.default_rng(43)
     h = random_symmetric(rng, 40)
     op = HermitianOp.from_dense(h)
-    t = lanczos_tridiag(op, rng.standard_normal(40), 10, store_basis=True)
+    t = lanczos_tridiag(op, rng.standard_normal(40), 10)
     assert t.k == 10 and t.residual > 0
     spec = tridiag_eigen(t)
     # with full reorthogonalization the bound is the Ritz pair's residual

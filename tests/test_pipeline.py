@@ -138,6 +138,20 @@ def test_run_hermitian_eigenvector_start():
     assert result.atoms.atoms[0].amp == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+def test_run_hermitian_keeps_every_ritz_pair_at_any_scale(scale):
+    # at 1e-300 the three eigenvalues lie a few 1e-300 apart, with equal half-widths
+    cfg = PipelineConfig(
+        binning=wide_open_bins(),
+        backend="lanczos",
+        rules_text="resonance_high => excited\n",
+    )
+    result = run_hermitian(HermitianOp.from_dense(scale * np.diag([0.5, 5.0, -1.0])), np.ones(3), cfg)
+    atoms = result.atoms.atoms
+    assert [atom.omega / scale for atom in atoms] == pytest.approx([-1.0, 0.5, 5.0], rel=1e-12)
+    assert [atom.amp for atom in atoms] == pytest.approx([1 / 3] * 3, rel=1e-12)
+
+
 def test_run_hermitian_full_k_matches_dense_eigenvalues():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((50, 50))
@@ -482,6 +496,12 @@ def test_auto_order_sweep_is_scale_invariant(scale):
     assert sweep.residual <= 1e-8
 
 
+def test_auto_order_sweep_needs_two_coefficients():
+    # no order fits one coefficient, so there is no sweep result to return
+    with pytest.raises(InputError):
+        auto_order_sweep([1.0], 8, 1e-8)
+
+
 def test_auto_order_sweep_nan_residual_is_never_best(monkeypatch):
     # an order whose re-expansion overflows to NaN must lose to any finite one
     original = pipeline.taylor_coefficients
@@ -527,20 +547,34 @@ def test_pade_auto_fits_each_order_once(monkeypatch):
 
 
 def test_pade_auto_ill_conditioned_best_raises():
-    # the sweep's best order [0/1] meets c_0 = 0 with c_1 != 0: its moment
-    # system has no solution, so the run must fail with that typed error
+    # [0/1] meets c_0 = 0 with c_1 != 0: its moment system has no solution,
+    # so the sweep passes over it to the best order it can fit
     series = [0.0, -1.0, -1.0, -1.0, -1.0, 1.0, 0.0]
     sweep = auto_order_sweep(series, 8, 1e-8)
-    assert (sweep.m, sweep.n, sweep.rational) == (0, 1, None)
+    assert (sweep.m, sweep.n) == (sweep.rational.m, sweep.rational.n) == (1, 2)
     cfg = PipelineConfig(
         binning=wide_open_bins(),
         backend="pade_z",
         pade=PadeSettings(auto=True, n_max=8, residual_tol=1e-8),
         rules_text="resonance_high => alert\n",
     )
+    assert run(TimeSeries(np.array(series), 0.05), cfg).diagnostics["estimate"]["orders"] == [1, 2]
+    # when [0/1] is the only order, the run fails with its typed error
     with pytest.raises(IllConditionedError) as err:
-        run(TimeSeries(np.array(series), 0.05), cfg)
+        run(TimeSeries(np.array([0.0, 1.0]), 0.05), cfg)
     assert err.value.stage == "estimate"
+
+
+def test_pade_auto_fits_a_window_that_starts_with_zeros():
+    # the window at 336 of a stream zeroed on [150, 350) starts with 14
+    # zeros: every order up to [6/7] fits zero, and [7/8] is singular
+    cfg = dataclasses.replace(shift_config(), backend="pade_z", pade=PadeSettings(auto=True))
+    x = detect_streams(0)[4]
+    window = TimeSeries(x.samples[336:464], x.dt)
+    estimate = run(window, cfg).diagnostics["estimate"]
+    assert estimate["orders"] == [0, 1]
+    assert estimate["residual_norm"] == pytest.approx(np.linalg.norm(window.samples), rel=1e-12)
+    assert isinstance(detect_anomalies(x, cfg, 128, 16, "anomaly"), list)
 
 
 @pytest.mark.parametrize("multiple", [False, True])

@@ -168,10 +168,14 @@ def test_spectrum_sorting_and_merge():
     atoms = [LorentzianAtom(3.0, 0.1, 1.0), LorentzianAtom(1.0, 0.1, 2.0)]
     sp = SparseSpectrum.from_atoms(atoms)
     assert [a.omega for a in sp.atoms] == [1.0, 3.0]
-    dup = [LorentzianAtom(1.0, 0.1, 2.0), LorentzianAtom(1.0 + 1e-12, 0.1, 3.0)]
-    merged = SparseSpectrum.from_atoms(dup)
-    assert len(merged.atoms) == 1
-    assert merged.atoms[0].amp == pytest.approx(5.0)
+    # near-duplicates are kept as they are, sorted by (omega, gamma)
+    dup = [
+        LorentzianAtom(1.0 + 1e-12, 0.1, 3.0),
+        LorentzianAtom(1.0, 0.1 + 1e-12, 4.0),
+        LorentzianAtom(1.0, 0.1, 2.0),
+    ]
+    kept = SparseSpectrum.from_atoms(dup)
+    assert [a.amp for a in kept.atoms] == [2.0, 4.0, 3.0]
 
 
 def test_pencil_single_damped_cosine():
@@ -228,6 +232,19 @@ def test_pencil_is_scale_invariant(scale):
     assert atom.gamma == pytest.approx(0.1, rel=1e-8)
     assert atom.amp == pytest.approx(scale * expected_amp(3.0, 0.1, 1.0), rel=1e-8)
     assert scaled.residual_norm <= 1e-10 * scale * np.linalg.norm(x.samples)
+
+
+@pytest.mark.parametrize("dt", [1.0, 1e6, 1e10])
+def test_pencil_keeps_two_modes_at_any_sample_spacing(dt):
+    # the samples do not depend on dt; at 1e10 both atoms sit within 1e-9
+    # of each other in omega and gamma, and must still both be kept
+    modes = [(0.3 / dt, 0.01 / dt, 1.0), (0.5 / dt, 0.012 / dt, 1.0)]
+    sp = fit_matrix_pencil(damped_cosines(modes, n=200, dt=dt), 4)
+    assert len(sp.atoms) == 2
+    for atom, (w, g, a) in zip(sp.atoms, modes):
+        assert atom.omega == pytest.approx(w, rel=1e-6)
+        assert atom.gamma == pytest.approx(g, rel=1e-6)
+        assert atom.amp == pytest.approx(expected_amp(w, g, a), rel=1e-6)
 
 
 @pytest.mark.parametrize("omega", [0.0, np.pi / 0.05], ids=["constant", "nyquist"])

@@ -193,13 +193,16 @@ def _pole_atom(
 ) -> tuple[float, float, float] | None:
     """(omega, gamma, amp) of the atom pole ``z`` with unit-scale residue
     ``res`` maps to, or None when it maps to none: |z| >= UNSTABLE_MODULUS,
-    |z| < 1e-12, or an amplitude that is zero or not finite at input scale."""
+    |z| < 1e-12, or an amplitude that is zero or not finite at input scale.
+    An amplitude finite at unit scale that overflows only at input scale
+    comes back as inf."""
     mod = abs(z)
     if mod >= UNSTABLE_MODULUS or mod < 1e-12:
         return None
     gamma = -math.log(mod) / dt
     amp = float(abs(res)) * scale / gamma  # Python floats: an overflow gives inf, no warning
-    if amp <= 0 or not math.isfinite(amp):
+    scale_overflow = amp == math.inf and math.isfinite(float(abs(res)) / gamma)
+    if not scale_overflow and (amp <= 0 or not math.isfinite(amp)):
         return None
     return math.atan2(z.imag, z.real) / dt, gamma, amp
 
@@ -218,10 +221,16 @@ def atoms_from_poles(
     is scale * ||samples - sum of kept modes (with partners)||: the input's
     norm when every mode is dropped, 0 without samples, and a
     :class:`NumericError` when it overflows float64.
+
+    A mode whose amplitude overflows only at input scale fails the whole
+    fit: the other modes were fitted alongside it and do not explain the
+    input without it. Then every mode is dropped.
     """
     if not dt > 0:
         raise InputError(f"dt must be positive, got {dt}")
     params = [_pole_atom(z, res, dt, scale) for z, res in zip(modes.poles, modes.residues)]
+    if any(p is not None and math.isinf(p[2]) for p in params):
+        params = [None] * len(params)
     kept = np.array([p is not None for p in params], dtype=bool)
     partner = modes.poles.imag < 0  # represented by its Im z > 0 twin
     atoms = [LorentzianAtom(*p) for p, twin in zip(params, partner) if p is not None and not twin]

@@ -1,7 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 
 from speclogic import (
     HermitianOp,
@@ -154,11 +157,11 @@ def test_density_mass():
     eta = 0.05
     # +-50*eta captures 2/pi*atan(50) of each unit kernel
     grid = np.linspace(-0.4 - 50 * eta, 0.7 + 50 * eta, 120001)
-    mass = np.trapezoid(spectral_density(spec, grid, eta), grid)
+    mass = scipy.integrate.trapezoid(spectral_density(spec, grid, eta), grid)
     assert mass == pytest.approx(2 / np.pi * np.arctan(50), abs=2e-3)
     # a wide grid recovers all the mass
     grid = np.linspace(-0.4 - 700 * eta, 0.7 + 700 * eta, 400001)
-    mass = np.trapezoid(spectral_density(spec, grid, eta), grid)
+    mass = scipy.integrate.trapezoid(spectral_density(spec, grid, eta), grid)
     assert mass == pytest.approx(1.0, abs=1e-3)
 
 
@@ -246,3 +249,75 @@ def test_ritz_stop_returns_once_heavy_pairs_converge(heavy_pair_operator):
     assert all(np.min(np.abs(true - lam)) <= tol for lam in spec.lambdas[heavy])
     # without a tolerance exactly k steps run
     assert lanczos_tridiag(op, q1, t.k + 3).k == t.k + 3
+
+
+def _stop_by_definition(op, q1, tol, min_weight):
+    """The Ritz stop as defined: run the recurrence to full depth, solve the
+    leading tridiagonal at every multiple of CHECK_EVERY and stop at the first
+    one whose pairs of weight at least ``min_weight`` all have bound <= ``tol``."""
+    full = lanczos_tridiag(op, q1, op.dim)
+    for k in range(CHECK_EVERY, full.k, CHECK_EVERY):
+        t = TridiagResult(full.alpha[:k], full.beta[: k - 1], k, residual=full.beta[k - 1])
+        spec = tridiag_eigen(t)
+        if np.all(spec.bounds[spec.weights >= min_weight] <= tol):
+            return t
+    return full  # no check passed: a breakdown or the whole space
+
+
+@pytest.mark.parametrize(
+    "dim, tol, min_weight",
+    [(160, 0.005, 0.1), (400, 0.005, 0.1), (160, 0.002, 0.01), (400, 0.002, 0.01), (160, 0.1, 0.0)],
+)
+@pytest.mark.parametrize("seed", range(8))
+def test_ritz_stop_equals_the_stop_by_definition(heavy_pair_operator, dim, tol, min_weight, seed):
+    h, q1 = heavy_pair_operator(np.random.default_rng(1000 + seed), dim)
+    op = HermitianOp.from_dense(h)
+    ref = _stop_by_definition(op, q1, tol, min_weight)
+    t = lanczos_tridiag(op, q1, dim, ritz_tol=tol, min_weight=min_weight)
+    assert (t.k, t.breakdown, t.residual) == (ref.k, ref.breakdown, ref.residual)
+    assert np.array_equal(t.alpha, ref.alpha) and np.array_equal(t.beta, ref.beta)
+    # the spectrum the passing check solved is the one a fresh solve gives
+    spec = tridiag_eigen(t)
+    fresh = tridiag_eigen(TridiagResult(t.alpha, t.beta, t.k, residual=t.residual))
+    for name in ("lambdas", "weights", "bounds"):
+        assert np.array_equal(getattr(spec, name), getattr(fresh, name))
+    # each call hands out its own arrays
+    spec.weights[:] = 0.0
+    assert np.array_equal(tridiag_eigen(t).weights, fresh.weights)
+
+
+def test_ritz_stop_solves_fewer_tridiagonals_than_it_checks(heavy_pair_operator, monkeypatch):
+    solves = []
+    full_solver = scipy.linalg.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        solves.append(len(args[0]))
+        return full_solver(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    h, q1 = heavy_pair_operator(np.random.default_rng(53), 400)
+    t = lanczos_tridiag(HermitianOp.from_dense(h), q1, 400, ritz_tol=0.005, min_weight=0.1)
+    tridiag_eigen(t)  # as run_hermitian does
+    checks = t.k // CHECK_EVERY
+    assert checks >= 4
+    assert len(solves) < checks
+
+
+def test_basis_memory_follows_the_steps():
+    # matrix-free diagonal operator with two heavy eigenvalues in a bulk
+    rng = np.random.default_rng(3)
+    dim = 3000
+    lam = np.concatenate([[-0.5, 0.6], rng.uniform(-1.0, 1.0, dim - 2)])
+    q1 = np.sqrt(np.concatenate([[0.45, 0.45], np.full(dim - 2, 0.1 / (dim - 2))]))
+    op = HermitianOp(dim, lambda v: lam * v)
+    tracemalloc.start()
+    try:
+        t = lanczos_tridiag(op, q1, dim, ritz_tol=0.005, min_weight=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 80 columns run take 1.92 MB; a dim x dim buffer would take 72 MB
+    assert t.k == 80
+    assert peak < 8e6
+    # the returned basis pins at most twice the columns it holds
+    assert t.basis.base.nbytes <= 2 * t.basis.nbytes

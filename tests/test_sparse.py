@@ -116,6 +116,20 @@ def test_atoms_from_poles_drops_overflowing_amplitude():
     assert sp.dropped == 1
 
 
+def test_atoms_from_poles_scale_overflow_fails_the_whole_fit():
+    # the 0.999 mode overflows only at scale 2**1000; the other modes were
+    # fitted with it, so without it they explain the input wrongly
+    z = np.array([0.5 + 0j, 0.999 + 0j, 0.3 + 0.4j, 0.3 - 0.4j])
+    ps = PoleSet(z, np.array([1.0, 1e5, 0.2 + 0.1j, 0.2 - 0.1j]))
+    samples = np.real(np.vander(z, 16, increasing=True).T @ ps.residues) + 1e-3
+    sp = atoms_from_poles(ps, 1.0, samples, scale=2.0**1000)
+    assert sp.atoms == ()
+    assert sp.dropped == 3  # every mode, a conjugate pair counting once
+    assert sp.residual_norm == pytest.approx(np.linalg.norm(samples) * 2.0**1000, rel=1e-12)
+    # at unit scale nothing overflows and every mode is kept
+    assert len(atoms_from_poles(ps, 1.0, samples).atoms) == 3
+
+
 @pytest.mark.parametrize("modulus,kept", [(1.0 - 1e-7, False), (1.0 - 1e-5, True)])
 def test_atoms_from_poles_drops_undamped_modes(modulus, kept):
     # 1 - |z| < 1e-6 is no measurable decay per sample

@@ -21,7 +21,6 @@ from .lanczos import (
     RitzSpectrum,
     TridiagResult,
     lanczos_tridiag,
-    spectral_density,
     tridiag_eigen,
 )
 from .pade import PoleSet, RationalApprox, extract_poles, fit_pade
@@ -38,16 +37,12 @@ from .rules import HornRule, ProofTrace, RuleSet, format_rules, infer, parse_rul
 from .signal import PreprocessConfig, TimeSeries, autocorrelation, preprocess
 from .sparse import (
     LorentzianAtom,
-    LorentzianDictionary,
-    SampledSpectrum,
     SparseSpectrum,
     atoms_from_poles,
     eval_spectrum,
     fit_matrix_pencil,
-    fit_omp,
-    refine_nls,
 )
-from .symbolic import BinAxis, BinningConfig, Predicate, SymbolSet, kernel, project
+from .symbolic import BinAxis, BinningConfig, Predicate, SymbolSet, project
 
 __version__ = "0.1.0"
 
@@ -61,7 +56,6 @@ __all__ = [
     "IllConditionedError",
     "InputError",
     "LorentzianAtom",
-    "LorentzianDictionary",
     "NumericError",
     "PipelineConfig",
     "PoleSet",
@@ -74,7 +68,6 @@ __all__ = [
     "RuleSet",
     "RuleSyntaxError",
     "RunResult",
-    "SampledSpectrum",
     "SparseSpectrum",
     "SpecLogicError",
     "StratificationError",
@@ -88,21 +81,17 @@ __all__ = [
     "eval_spectrum",
     "extract_poles",
     "fit_matrix_pencil",
-    "fit_omp",
     "fit_pade",
     "format_rules",
     "infer",
-    "kernel",
     "lanczos_tridiag",
     "parse_rules",
     "preprocess",
     "project",
-    "refine_nls",
     "replay",
     "run",
     "run_benchmark",
     "run_hermitian",
-    "spectral_density",
     "synth_oscillator",
     "tridiag_eigen",
 ]

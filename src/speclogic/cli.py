@@ -23,7 +23,13 @@ from .benchmark import REGIME_NAMES, reference_config, run_benchmark, synth_osci
 from .errors import InputError, NumericError
 from .pipeline import SIGNAL_BACKENDS, PipelineConfig, detect_anomalies, run
 from .rules import infer, load_rules, save_trace_json
-from .signal import TimeSeries, load_timeseries_csv, load_timeseries_json, save_timeseries_csv
+from .signal import (
+    TimeSeries,
+    load_timeseries_csv,
+    load_timeseries_json,
+    read_json,
+    save_timeseries_csv,
+)
 from .sparse import eval_spectrum, load_spectrum_json, save_spectrum_json
 from .symbolic import SymbolSet, project
 
@@ -92,10 +98,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_reason(args) -> int:
     rules = load_rules(args.rules)
-    try:
-        names = json.loads(Path(args.facts).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{args.facts}: invalid JSON ({exc})") from None
+    names = read_json(args.facts)
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise InputError(f"{args.facts}: expected a JSON list of predicate names")
     facts = SymbolSet.from_names(names)

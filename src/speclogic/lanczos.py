@@ -1,4 +1,4 @@
-"""Krylov tridiagonalization of symmetric operators and broadened densities.
+"""Krylov tridiagonalization of symmetric operators, and the Ritz spectrum it yields.
 
 The three-term recurrence projects a symmetric operator H onto the Krylov
 subspace span{q1, H q1, ..., H^(k-1) q1}, producing a real tridiagonal
@@ -367,17 +367,3 @@ def tridiag_eigen(t: TridiagResult) -> RitzSpectrum:
     # copies, so that no caller's edit reaches the next call's spectrum
     return RitzSpectrum(*(a.copy() for a in t._ritz))
 
-
-def spectral_density(spec: RitzSpectrum, omega_grid, eta: float) -> np.ndarray:
-    """Broadened density: each weighted delta becomes a unit-area Lorentzian.
-
-    S(w) = sum_j weight_j * (eta/pi) / ((w - lambda_j)^2 + eta^2)
-    """
-    if not eta > 0:
-        raise InputError(f"eta must be positive, got {eta}")
-    grid = np.asarray(omega_grid, dtype=float)
-    if grid.size == 0:
-        return np.empty(0)
-    diff = grid[None, :] - spec.lambdas[:, None]
-    kern = (eta / np.pi) / (diff**2 + eta**2)
-    return spec.weights @ kern

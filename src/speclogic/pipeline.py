@@ -49,7 +49,7 @@ from .errors import ConfigError, IllConditionedError, InputError, SpecLogicError
 from .lanczos import HermitianOp, RitzSpectrum, lanczos_tridiag, tridiag_eigen
 from .pade import PoleSet, RationalApprox, extract_poles, fit_pade, taylor_coefficients
 from .rules import ProofTrace, RuleSet, infer, load_rules, parse_rules
-from .signal import PreprocessConfig, TimeSeries, preprocess
+from .signal import PreprocessConfig, TimeSeries, preprocess, read_json
 from .sparse import (
     LorentzianAtom,
     SparseSpectrum,
@@ -59,9 +59,9 @@ from .sparse import (
 )
 from .symbolic import BinningConfig, SymbolSet, project
 
-# not called here, but the benchmark's span tracer binds these names on this module
-from .lanczos import spectral_density  # noqa: F401
-from .sparse import fit_omp, refine_nls  # noqa: F401
+# Placeholders for removed functions: bench/spans.py still wraps these names
+# on this module (they read 0 calls) until ROADMAP item 1 retargets it.
+fit_omp = refine_nls = spectral_density = None
 
 #: Back-ends that estimate time series; ``lanczos`` takes operators instead.
 SIGNAL_BACKENDS = ("matrix_pencil", "pade_z")
@@ -210,11 +210,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PipelineConfig":
-        try:
-            record = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_dict(record)
+        return cls.from_dict(read_json(path))
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InputError, RuleSyntaxError, StratificationError
+from .signal import read_json, read_text
 from .symbolic import IDENTIFIER_RE, SymbolSet
 
 _TOKEN_RE = re.compile(r"(=>|&|!|@|[A-Za-z][A-Za-z0-9_]*|_[A-Za-z0-9_]*)")
@@ -294,7 +295,7 @@ def _parse_rule(tokens: list[tuple[str, int]], lineno: int, position: int) -> Ho
 
 def load_rules(path: str | Path) -> RuleSet:
     """Parse a UTF-8 rule file."""
-    return parse_rules(Path(path).read_text(encoding="utf-8"))
+    return parse_rules(read_text(path))
 
 
 def format_rules(rs: RuleSet) -> str:
@@ -380,8 +381,4 @@ def save_trace_json(trace: ProofTrace, path: str | Path) -> None:
 
 
 def load_trace_json(path: str | Path) -> ProofTrace:
-    try:
-        records = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from None
-    return ProofTrace.from_json(records)
+    return ProofTrace.from_json(read_json(path))

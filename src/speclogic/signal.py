@@ -38,7 +38,10 @@ class TimeSeries:
     label: str | None = None
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        try:
+            samples = np.asarray(self.samples, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("signal samples must be numbers") from None
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or samples.size < 2:
             raise InputError("signal must be one-dimensional with at least 2 samples")
@@ -93,14 +96,34 @@ def autocorrelation(x: TimeSeries, max_lag: int) -> TimeSeries:
     return TimeSeries(c, x.dt, x.label)
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file ``path``; other bytes are an :class:`InputError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def read_json(path: str | Path):
+    """The JSON value in the UTF-8 file ``path``; text that is not JSON, or
+    nests deeper than the parser's recursion limit, is an :class:`InputError`."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
+
+
 def load_timeseries_csv(path: str | Path) -> TimeSeries:
     """Read a ``t,value`` CSV with uniform time spacing.
 
-    Spacing is validated to relative tolerance 1e-6; non-uniform input is
-    rejected with a descriptive error.
+    Spacing is validated to relative tolerance 1e-6; non-uniform input, and
+    times or steps that are not finite floats, are rejected with a
+    descriptive error.
     """
-    path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise InputError(f"{path}: empty file")
     header = [h.strip().lower() for h in lines[0].split(",")]
@@ -121,12 +144,20 @@ def load_timeseries_csv(path: str | Path) -> TimeSeries:
     if len(t) < 2:
         raise InputError(f"{path}: need at least 2 rows")
     t = np.asarray(t)
-    steps = np.diff(t)
-    dt = float(np.median(steps))
+    if not np.all(np.isfinite(t)):
+        raise InputError(f"{path}: time column must be finite")
+    # a step past float64 reads inf (and its median or deviation inf or nan),
+    # which the checks below reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(t)
+        dt = float(np.median(steps))
+        deviation = np.abs(steps - dt)
+    if not (np.all(np.isfinite(steps)) and math.isfinite(dt)):
+        raise InputError(f"{path}: time steps overflow float64")
     if dt <= 0:
         raise InputError(f"{path}: time column must be strictly increasing")
-    if np.max(np.abs(steps - dt)) > UNIFORM_SPACING_RTOL * abs(dt):
-        worst = int(np.argmax(np.abs(steps - dt)))
+    if np.max(deviation) > UNIFORM_SPACING_RTOL * abs(dt):
+        worst = int(np.argmax(deviation))
         raise InputError(
             f"{path}: non-uniform time spacing near row {worst + 2} "
             f"(step {steps[worst]:.9g} vs median {dt:.9g})"
@@ -143,16 +174,8 @@ def save_timeseries_csv(x: TimeSeries, path: str | Path) -> None:
 
 def load_timeseries_json(path: str | Path) -> TimeSeries:
     """Read a ``{dt, samples, label}`` JSON record."""
-    path = Path(path)
-    try:
-        record = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from None
+    record = read_json(path)
     if not isinstance(record, dict) or "dt" not in record or "samples" not in record:
         raise InputError(f"{path}: expected an object with 'dt' and 'samples'")
     return TimeSeries(record["samples"], record["dt"], record.get("label"))
 
-
-def save_timeseries_json(x: TimeSeries, path: str | Path) -> None:
-    record = {"dt": x.dt, "samples": x.samples.tolist(), "label": x.label}
-    Path(path).write_text(json.dumps(record))

@@ -5,11 +5,10 @@ The working model is a sum of amplitude-normalized Lorentzian atoms
     S(w) = sum_k amp_k * gamma_k^2 / ((w - omega_k)^2 + gamma_k^2)
 
 so each atom peaks at exactly ``amp`` at its center and reaches half
-maximum at omega +- gamma. Atom parameters are estimated three ways:
-directly from discrete-time poles (:func:`atoms_from_poles`), from raw time
-samples via a Hankel matrix pencil (:func:`fit_matrix_pencil`), or from a
-sampled spectrum via greedy pursuit over a dictionary (:func:`fit_omp`)
-optionally polished by damped Gauss-Newton (:func:`refine_nls`).
+maximum at omega +- gamma. Atom parameters are estimated two ways:
+directly from discrete-time poles (:func:`atoms_from_poles`), or from raw
+time samples via a Hankel matrix pencil (:func:`fit_matrix_pencil`), which
+maps its modes through :func:`atoms_from_poles` too.
 
 Pole mapping convention: a discrete-time mode c * z^n with z = exp((-gamma
 + i*omega)*dt) maps to omega = arg(z)/dt, gamma = -ln|z|/dt and amp =
@@ -28,11 +27,10 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import InputError, NumericError
 from .pade import PoleSet
-from .signal import TimeSeries
+from .signal import TimeSeries, read_json
 
 #: Default relative singular-value cutoff for pencil order selection.
 SV_TOL_DEFAULT = 1e-8
@@ -47,9 +45,6 @@ POWER_ITERATIONS = 2
 #: under 1e-6 per sample, 200x below the weakest benchmark damping (gamma*dt =
 #: 2e-4). So a constant, Nyquist alternation or ramp keeps no atom.
 UNSTABLE_MODULUS = 1.0 - 1e-6
-
-#: Gradient infinity-norm below which refinement declares convergence.
-NLS_GRAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -80,8 +75,8 @@ class SparseSpectrum:
     signal, the 2-norm of the samples minus the kept modes; for a Ritz
     spectrum, the share of the start vector's spectral weight the kept atoms
     leave out; 0 without a target. ``dropped`` counts candidate modes
-    discarded as growing, undamped or amplitude-free; ``converged`` is
-    cleared by :func:`refine_nls` when it exhausts its iteration budget.
+    discarded as growing, undamped or amplitude-free. ``converged`` is
+    always True, since no producer is iterative; the benchmark still reads it.
     """
 
     atoms: tuple[LorentzianAtom, ...]
@@ -107,14 +102,13 @@ class SparseSpectrum:
         atoms: Sequence[LorentzianAtom],
         residual_norm: float = 0.0,
         dropped: int = 0,
-        converged: bool = True,
     ) -> "SparseSpectrum":
         """Sort atoms by (omega, gamma). Close atoms are all kept: a fixed
         merge tolerance would depend on the input's scale, and each producer
         already collapses what is one resonance (a conjugate partner in
         :func:`atoms_from_poles`)."""
         ordered = sorted(atoms, key=lambda at: (at.omega, at.gamma))
-        return cls(tuple(ordered), float(residual_norm), dropped, converged)
+        return cls(tuple(ordered), float(residual_norm), dropped)
 
     def to_dict(self) -> dict:
         return {
@@ -137,33 +131,11 @@ class SparseSpectrum:
 
 
 def load_spectrum_json(path: str | Path) -> SparseSpectrum:
-    try:
-        record = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from None
-    return SparseSpectrum.from_dict(record)
+    return SparseSpectrum.from_dict(read_json(path))
 
 
 def save_spectrum_json(sp: SparseSpectrum, path: str | Path) -> None:
     Path(path).write_text(json.dumps(sp.to_dict()))
-
-
-@dataclass(frozen=True, eq=False)
-class SampledSpectrum:
-    """A spectrum sampled on an explicit frequency grid."""
-
-    omega: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "values", values)
-        if omega.shape != values.shape or omega.ndim != 1 or omega.size == 0:
-            raise InputError("omega and values must be equal-length 1-d arrays")
-        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(values))):
-            raise InputError("sampled spectrum must be finite")
 
 
 def eval_spectrum(sp: SparseSpectrum, omega):
@@ -340,105 +312,6 @@ def fit_matrix_pencil(
     return fits[0] if single else fits
 
 
-@dataclass(frozen=True, eq=False)
-class LorentzianDictionary:
-    """Candidate (omega, gamma) grid for greedy pursuit.
-
-    Atom index i*len(gammas)+j pairs ``omegas[i]`` with ``gammas[j]``.
-    """
-
-    omegas: np.ndarray
-    gammas: np.ndarray
-
-    def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=float)
-        gammas = np.asarray(self.gammas, dtype=float)
-        object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "gammas", gammas)
-        if omegas.size == 0 or gammas.size == 0:
-            raise InputError("dictionary grids must be non-empty")
-        if np.any(gammas <= 0):
-            raise InputError("dictionary gammas must be positive")
-
-    def __len__(self) -> int:
-        return self.omegas.size * self.gammas.size
-
-    def parameters(self, index: int) -> tuple[float, float]:
-        i, j = divmod(index, self.gammas.size)
-        return float(self.omegas[i]), float(self.gammas[j])
-
-    def design_matrix(self, grid: np.ndarray) -> np.ndarray:
-        """Unit-amplitude atom profiles as columns over ``grid``."""
-        cols = np.empty((grid.size, len(self)))
-        idx = 0
-        for omega in self.omegas:
-            d2 = (grid - omega) ** 2
-            for gamma in self.gammas:
-                cols[:, idx] = gamma**2 / (d2 + gamma**2)
-                idx += 1
-        return cols
-
-    @classmethod
-    def from_ranges(
-        cls,
-        omega_min: float,
-        omega_max: float,
-        n_omega: int,
-        gamma_min: float,
-        gamma_max: float,
-        n_gamma: int,
-    ) -> "LorentzianDictionary":
-        """Linear omega grid crossed with a log-spaced gamma grid."""
-        return cls(
-            np.linspace(omega_min, omega_max, n_omega),
-            np.geomspace(gamma_min, gamma_max, n_gamma),
-        )
-
-
-def fit_omp(
-    target: SampledSpectrum,
-    dictionary: LorentzianDictionary,
-    k_max: int,
-    tol: float = 1e-6,
-) -> SparseSpectrum:
-    """Greedy pursuit: repeatedly select the atom most correlated with the
-    residual and re-solve all selected amplitudes by nonnegative least
-    squares. Stops after ``k_max`` atoms or when the residual norm falls to
-    ``tol``*||target||.
-    """
-    if k_max < 1:
-        raise InputError(f"k_max must be positive, got {k_max}")
-    values = target.values
-    tnorm = float(np.linalg.norm(values))
-    if tnorm == 0:
-        return SparseSpectrum.from_atoms([], 0.0)
-
-    design = dictionary.design_matrix(target.omega)
-    col_norms = np.linalg.norm(design, axis=0)
-    col_norms[col_norms == 0] = np.inf
-
-    selected: list[int] = []
-    amps = np.empty(0)
-    residual = values.copy()
-    for _ in range(k_max):
-        corr = np.abs(design.T @ residual) / col_norms
-        pick = int(np.argmax(corr))
-        if corr[pick] <= 1e-14 * tnorm or pick in selected:
-            break
-        selected.append(pick)
-        amps, _ = scipy.optimize.nnls(design[:, selected], values)
-        residual = values - design[:, selected] @ amps
-        if np.linalg.norm(residual) <= tol * tnorm:
-            break
-
-    atoms = []
-    for idx, amp in zip(selected, amps):
-        if amp > 0:
-            omega, gamma = dictionary.parameters(idx)
-            atoms.append(LorentzianAtom(omega, gamma, float(amp)))
-    return SparseSpectrum.from_atoms(atoms, float(np.linalg.norm(residual)))
-
-
 def lorentzian_model_jacobian(
     atoms: Sequence[LorentzianAtom], omega: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -458,77 +331,3 @@ def lorentzian_model_jacobian(
         jac[:, 3 * k + 1] = 2 * at.amp * at.gamma * diff**2 / den**2
         jac[:, 3 * k + 2] = profile
     return model, jac
-
-
-def refine_nls(
-    sp: SparseSpectrum,
-    target: SampledSpectrum,
-    max_iter: int,
-) -> SparseSpectrum:
-    """Jointly refine all atom parameters by damped Gauss-Newton.
-
-    Gamma and amplitude move in log space, so positivity is structural.
-    Steps are halved (up to 20 times) until the residual does not increase;
-    the returned residual is therefore never worse than the input's. When
-    the gradient tolerance 1e-10 is not met within ``max_iter`` iterations
-    the best iterate is returned with ``converged=False``.
-    """
-    if not sp.atoms:
-        raise InputError("refine_nls requires a non-empty spectrum")
-    if max_iter < 1:
-        raise InputError(f"max_iter must be positive, got {max_iter}")
-
-    grid = target.omega
-    values = target.values
-
-    def unpack(theta: np.ndarray) -> list[LorentzianAtom]:
-        out = []
-        for k in range(theta.size // 3):
-            omega, lg, la = theta[3 * k : 3 * k + 3]
-            # clamp exponents so a wild trial step yields a huge-but-finite
-            # cost (rejected by damping) instead of an overflow
-            gamma = math.exp(min(max(lg, -700.0), 700.0))
-            amp = math.exp(min(max(la, -700.0), 700.0))
-            out.append(LorentzianAtom(float(omega), gamma, amp))
-        return out
-
-    def cost_of(theta: np.ndarray) -> float:
-        model, _ = lorentzian_model_jacobian(unpack(theta), grid)
-        return float(np.linalg.norm(model - values))
-
-    theta = np.empty(3 * len(sp.atoms))
-    for k, at in enumerate(sp.atoms):
-        theta[3 * k : 3 * k + 3] = (at.omega, math.log(at.gamma), math.log(at.amp))
-
-    converged = False
-    cost = cost_of(theta)
-    for _ in range(max_iter):
-        atoms = unpack(theta)
-        model, jac_raw = lorentzian_model_jacobian(atoms, grid)
-        # chain rule onto (omega, log gamma, log amp)
-        jac = jac_raw.copy()
-        for k, at in enumerate(atoms):
-            jac[:, 3 * k + 1] *= at.gamma
-            jac[:, 3 * k + 2] *= at.amp
-        res = model - values
-        grad = jac.T @ res
-        if float(np.max(np.abs(grad))) <= NLS_GRAD_TOL:
-            converged = True
-            break
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        step = np.clip(step, -50.0, 50.0)
-        scale = 1.0
-        improved = False
-        for _ in range(20):
-            trial = theta + scale * step
-            trial_cost = cost_of(trial)
-            if trial_cost <= cost:
-                theta, cost, improved = trial, trial_cost, True
-                break
-            scale *= 0.5
-        if not improved:
-            break
-
-    return SparseSpectrum.from_atoms(
-        unpack(theta), cost, dropped=sp.dropped, converged=converged
-    )

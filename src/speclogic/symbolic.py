@@ -4,9 +4,7 @@ Each atom is binned independently on three axes (resonance frequency,
 linewidth, amplitude) and emits one predicate per axis, named
 ``<axis>_<label>``. Atoms whose amplitude falls below ``negligible_eps``
 emit only the predicate ``negligible``. Values below the lowest edge of an
-axis emit ``<axis>_underflow`` rather than being dropped. The overlap
-kernel between two predicate sets is the size of their name-wise
-intersection.
+axis emit ``<axis>_underflow`` rather than being dropped.
 """
 
 from __future__ import annotations
@@ -155,7 +153,3 @@ def project(sp: SparseSpectrum, cfg: BinningConfig) -> SymbolSet:
             preds.add(Predicate(name, idx))
     return SymbolSet(frozenset(preds))
 
-
-def kernel(si: SymbolSet, sj: SymbolSet) -> int:
-    """Overlap kernel: number of predicate names the two sets share."""
-    return len(si.names & sj.names)

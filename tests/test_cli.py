@@ -164,6 +164,38 @@ def test_malformed_config_exits_2(workdir, capsys, change):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, content, command",
+    [
+        ("probe.json", b'{"dt": 0.1, "samples": [1, 2, 3\xff]}', ["run", "--input"]),
+        ("probe.csv", b"t,value\n0,1\n1,2\xff\n", ["run", "--input"]),
+        ("probe.json", b'{"seed": 1\xff}', ["run", "--input", "{dir}/sig.csv", "--config"]),
+        ("probe.json", b'{"atoms": []\xff}', ["project", "--atoms"]),
+        ("probe.txt", b"a => b\xff\n", ["reason", "--facts", "{dir}/facts.json", "--rules"]),
+        ("probe.json", b'["a"\xff]', ["reason", "--rules", "{dir}/rules.txt", "--facts"]),
+        ("probe.json", b"[" * 200_000 + b"]" * 200_000, ["run", "--input"]),
+        ("probe.json", b'{"dt": 0.1, "samples": [{"a": 1}, 2, 3]}', ["run", "--input"]),
+        ("probe.json", b'{"dt": 0.1, "samples": "abc"}', ["run", "--input"]),
+        ("probe.csv", b"t,value\n0,1\n1,2\ninf,3\n", ["run", "--input"]),
+        ("probe.csv", b"t,value\n0,1\n1e308,2\n-1e308,3\n", ["run", "--input"]),
+    ],
+    ids=["signal_json_not_utf8", "signal_csv_not_utf8", "config_not_utf8", "atoms_not_utf8",
+         "rules_not_utf8", "facts_not_utf8", "deeply_nested_json", "sample_not_number",
+         "samples_a_string", "infinite_time", "time_step_overflows"],
+)
+def test_malformed_input_file_exits_2(workdir, capsys, name, content, command):
+    (workdir / "facts.json").write_text('["a"]')
+    (workdir / "rules.txt").write_text("a => b\n")
+    path = workdir / name
+    path.write_bytes(content)
+    argv = [arg.format(dir=workdir) for arg in command] + [str(path)]
+    # a RuntimeWarning is an error under the test configuration, and any
+    # exception main() does not turn into an exit code propagates here
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_near_max_dipole_run_reports_a_failed_fit(tmp_path, capsys):
     # a pencil mode of this valid near-float-max input overflows only at the
     # input's scale, so the fit failed: no atom, and nothing explained

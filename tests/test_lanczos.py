@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.linalg
 
 from speclogic import (
@@ -13,7 +12,6 @@ from speclogic import (
     RitzSpectrum,
     TridiagResult,
     lanczos_tridiag,
-    spectral_density,
     tridiag_eigen,
 )
 from speclogic.lanczos import CHECK_EVERY
@@ -137,32 +135,6 @@ def test_extremal_convergence():
     spec = ritz_of(h, rng.standard_normal(120), 45)
     assert abs(spec.lambdas[0] - true[0]) <= 1e-6
     assert abs(spec.lambdas[-1] - true[-1]) <= 1e-6
-
-
-def test_density_peak_value():
-    spec = RitzSpectrum(np.array([0.0]), np.array([1.0]))
-    val = spectral_density(spec, [0.0], 0.1)
-    assert val[0] == pytest.approx(1.0 / (0.1 * np.pi), rel=1e-12)
-
-
-def test_density_empty_grid():
-    spec = RitzSpectrum(np.array([0.0]), np.array([1.0]))
-    assert spectral_density(spec, [], 0.1).size == 0
-    with pytest.raises(InputError):
-        spectral_density(spec, [0.0], 0.0)
-
-
-def test_density_mass():
-    spec = RitzSpectrum(np.array([-0.4, 0.7]), np.array([0.25, 0.75]))
-    eta = 0.05
-    # +-50*eta captures 2/pi*atan(50) of each unit kernel
-    grid = np.linspace(-0.4 - 50 * eta, 0.7 + 50 * eta, 120001)
-    mass = scipy.integrate.trapezoid(spectral_density(spec, grid, eta), grid)
-    assert mass == pytest.approx(2 / np.pi * np.arctan(50), abs=2e-3)
-    # a wide grid recovers all the mass
-    grid = np.linspace(-0.4 - 700 * eta, 0.7 + 700 * eta, 400001)
-    mass = scipy.integrate.trapezoid(spectral_density(spec, grid, eta), grid)
-    assert mass == pytest.approx(1.0, abs=1e-3)
 
 
 def test_ritz_spectrum_validation():

@@ -209,17 +209,6 @@ def test_run_hermitian_explicit_k_runs_exactly_k_steps(heavy_pair_operator):
     assert result.diagnostics["estimate"]["steps"] == 37
 
 
-def test_run_hermitian_calls_no_density_or_peak_fit(monkeypatch, heavy_pair_operator):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("run_hermitian reads atoms off the Ritz pairs")
-
-    for name in ("fit_omp", "refine_nls", "spectral_density"):
-        monkeypatch.setattr(pipeline, name, forbidden)
-    h, q1 = heavy_pair_operator(np.random.default_rng(61), 60)
-    result = run_hermitian(HermitianOp.from_dense(h), q1, heavy_pair_config())
-    assert "split" in result.derived.names
-
-
 def test_run_hermitian_requires_lanczos_backend():
     cfg = pencil_config("a => b\n")
     with pytest.raises(ConfigError):

@@ -8,17 +8,13 @@ import scipy.integrate
 from speclogic import (
     InputError,
     LorentzianAtom,
-    LorentzianDictionary,
     NumericError,
     PoleSet,
-    SampledSpectrum,
     SparseSpectrum,
     TimeSeries,
     atoms_from_poles,
     eval_spectrum,
     fit_matrix_pencil,
-    fit_omp,
-    refine_nls,
 )
 from speclogic.sparse import SKETCH_OVERSAMPLE, lorentzian_model_jacobian, unit_scale
 
@@ -362,41 +358,6 @@ def test_pencil_agrees_with_rational_pole_path():
     assert a.amp == pytest.approx(b.amp, rel=1e-3)
 
 
-def make_target(atoms, lo=-1.0, hi=9.0, points=1200):
-    grid = np.linspace(lo, hi, points)
-    return SampledSpectrum(grid, eval_spectrum(SparseSpectrum.from_atoms(atoms), grid))
-
-
-def test_omp_exact_single_atom():
-    dictionary = LorentzianDictionary.from_ranges(0.0, 8.0, 33, 0.1, 1.6, 5)
-    true_omega, true_gamma = dictionary.parameters(17)
-    target = make_target([LorentzianAtom(true_omega, true_gamma, 3.0)])
-    sp = fit_omp(target, dictionary, k_max=4, tol=1e-10)
-    assert len(sp.atoms) == 1
-    assert sp.atoms[0].omega == true_omega
-    assert sp.atoms[0].gamma == true_gamma
-    assert sp.atoms[0].amp == pytest.approx(3.0, abs=1e-8)
-    assert sp.residual_norm <= 1e-8
-
-
-def test_omp_zero_target():
-    dictionary = LorentzianDictionary.from_ranges(0.0, 8.0, 9, 0.1, 1.6, 3)
-    grid = np.linspace(0, 8, 200)
-    sp = fit_omp(SampledSpectrum(grid, np.zeros(200)), dictionary, k_max=3)
-    assert len(sp.atoms) == 0
-
-
-def test_omp_two_separated_atoms_in_two_picks():
-    dictionary = LorentzianDictionary(np.array([1.0, 7.0]), np.array([0.2]))
-    target = make_target(
-        [LorentzianAtom(1.0, 0.2, 2.0), LorentzianAtom(7.0, 0.2, 1.5)], lo=-2.0, hi=10.0
-    )
-    sp = fit_omp(target, dictionary, k_max=2, tol=1e-10)
-    assert len(sp.atoms) == 2
-    amps = sorted(a.amp for a in sp.atoms)
-    assert amps == pytest.approx([1.5, 2.0], rel=1e-6)
-
-
 def test_jacobian_matches_finite_differences():
     atoms = [LorentzianAtom(1.5, 0.4, 2.0), LorentzianAtom(4.0, 0.9, 0.8)]
     grid = np.linspace(-1.0, 7.0, 400)
@@ -417,49 +378,6 @@ def test_jacobian_matches_finite_differences():
         fd = (model(up) - model(down)) / (2 * step)
         denom = np.maximum(np.abs(jac[:, j]), 1e-6 * scale)
         assert np.max(np.abs(fd - jac[:, j]) / denom) <= 1e-5
-
-
-def test_refine_recovers_perturbed_atoms():
-    true = [LorentzianAtom(2.0, 0.3, 1.5)]
-    target = make_target(true, lo=-1.0, hi=5.0)
-    start = SparseSpectrum.from_atoms([LorentzianAtom(2.02, 0.297, 1.515)])
-    refined = refine_nls(start, target, 50)
-    atom = refined.atoms[0]
-    assert atom.omega == pytest.approx(2.0, rel=1e-6)
-    assert atom.gamma == pytest.approx(0.3, rel=1e-6)
-    assert atom.amp == pytest.approx(1.5, rel=1e-6)
-
-
-def test_refine_exact_atoms_are_fixed_point():
-    true = [LorentzianAtom(2.0, 0.3, 1.5)]
-    target = make_target(true, lo=-1.0, hi=5.0)
-    refined = refine_nls(SparseSpectrum.from_atoms(true), target, 10)
-    assert refined.converged
-    assert refined.atoms[0] == true[0]
-
-
-def test_refine_never_increases_residual():
-    rng = np.random.default_rng(99)
-    true = [LorentzianAtom(1.0, 0.25, 1.0), LorentzianAtom(3.0, 0.5, 2.0)]
-    target = make_target(true, lo=-2.0, hi=6.0)
-    current = SparseSpectrum.from_atoms(
-        [
-            LorentzianAtom(1.0 + rng.uniform(-0.2, 0.2), 0.3, 0.8),
-            LorentzianAtom(3.0 + rng.uniform(-0.2, 0.2), 0.4, 2.4),
-        ]
-    )
-    model = eval_spectrum(current, target.omega)
-    last = float(np.linalg.norm(model - target.values))
-    for _ in range(15):
-        current = refine_nls(current, target, 1)
-        assert current.residual_norm <= last + 1e-12
-        last = current.residual_norm
-
-
-def test_refine_requires_atoms():
-    target = make_target([LorentzianAtom(1.0, 0.2, 1.0)])
-    with pytest.raises(InputError):
-        refine_nls(SparseSpectrum.from_atoms([]), target, 5)
 
 
 def test_spectrum_serialization_roundtrip():

@@ -12,7 +12,6 @@ from speclogic import (
     Predicate,
     SparseSpectrum,
     SymbolSet,
-    kernel,
     project,
 )
 
@@ -78,38 +77,6 @@ def test_monotone_binning_in_omega():
         label = axis.label_for(v)
         indices.append(-1 if label is None else axis.labels.index(label))
     assert indices == sorted(indices)
-
-
-def test_kernel_hand_examples():
-    a = SymbolSet.from_names(["p", "q", "r"])
-    b = SymbolSet.from_names(["q", "r", "s"])
-    assert kernel(a, b) == 2
-    assert kernel(a, a) == 3
-    assert kernel(a, SymbolSet.from_names(["x"])) == 0
-
-
-def test_kernel_identical_two_predicate_sets():
-    a = SymbolSet.from_names(["resonance_high", "amplitude_strong"])
-    b = SymbolSet.from_names(["resonance_high", "amplitude_strong"])
-    assert kernel(a, b) == 2
-
-
-def test_kernel_ignores_source_atom():
-    a = SymbolSet(frozenset({Predicate("p", 0), Predicate("q", 1)}))
-    b = SymbolSet(frozenset({Predicate("p", 7)}))
-    assert kernel(a, b) == 1
-
-
-def test_kernel_symmetry_and_bounds():
-    rng = np.random.default_rng(8)
-    pool = [f"pred_{i}" for i in range(12)]
-    for _ in range(50):
-        a = SymbolSet.from_names(rng.choice(pool, rng.integers(0, 9), replace=False))
-        b = SymbolSet.from_names(rng.choice(pool, rng.integers(0, 9), replace=False))
-        k = kernel(a, b)
-        assert k == kernel(b, a)
-        assert 0 <= k <= min(len(a.names), len(b.names))
-        assert kernel(a, a) == len(a.names)
 
 
 def test_bin_axis_validation():

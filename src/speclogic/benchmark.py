@@ -135,46 +135,34 @@ def synth_oscillator(
     noise_sigma: float = 0.0,
     seed: int = 0,
     dt: float = DEFAULT_DT,
-    params: dict | None = None,
 ) -> tuple[TimeSeries, str]:
     """Generate one signal from a regime's parameter box.
 
-    ``params`` overrides individual boxes, e.g. ``{"amp": (1.0, 1.0)}`` pins
-    the drive amplitude. Returns the series and its ground-truth class fact.
-    Deterministic for a fixed (regime, n, noise_sigma, seed, dt, params).
+    Returns the series and its ground-truth class fact. Deterministic for a
+    fixed (regime, n, noise_sigma, seed, dt).
     """
     if regime not in _REGIME_MAP:
         raise InputError(f"unknown regime {regime!r}; expected one of {REGIME_NAMES}")
     if n < 64:
         raise InputError(f"need at least 64 samples, got {n}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     spec = _REGIME_MAP[regime]
-    boxes = {
-        "omega": spec.omega,
-        "gamma": spec.gamma,
-        "amp": spec.amp,
-        "omega2": spec.omega2,
-        "delta": spec.delta,
-    }
-    if params:
-        unknown = set(params) - set(boxes)
-        if unknown:
-            raise InputError(f"unknown parameter overrides: {sorted(unknown)}")
-        boxes.update(params)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     t = np.arange(n) * dt
 
     modes: list[tuple[float, float, float]] = []
-    omega1 = _draw(rng, boxes["omega"]) if boxes["omega"] is not None else 0.0
-    gamma1 = _draw(rng, boxes["gamma"])
-    amp1 = _draw(rng, boxes["amp"])
+    omega1 = _draw(rng, spec.omega) if spec.omega is not None else 0.0
+    gamma1 = _draw(rng, spec.gamma)
+    amp1 = _draw(rng, spec.amp)
     modes.append((omega1, gamma1, amp1))
     if spec.modes == 2:
-        if boxes["delta"] is not None:
-            omega2 = omega1 + _draw(rng, boxes["delta"])
+        if spec.delta is not None:
+            omega2 = omega1 + _draw(rng, spec.delta)
         else:
-            omega2 = _draw(rng, boxes["omega2"])
-        modes.append((omega2, _draw(rng, boxes["gamma"]), _draw(rng, boxes["amp"])))
+            omega2 = _draw(rng, spec.omega2)
+        modes.append((omega2, _draw(rng, spec.gamma), _draw(rng, spec.amp)))
 
     x = np.zeros(n)
     for omega, gamma, amp in modes:

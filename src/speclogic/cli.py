@@ -65,7 +65,8 @@ def _emit(payload, out: str | None) -> None:
 def _cmd_estimate(args) -> int:
     if args.grid_points < 2:
         raise InputError(f"--grid-points must be at least 2, got {args.grid_points}")
-    cfg = _load_config(args)
+    # the atoms never depend on the rules, so a config need not name any
+    cfg = replace(_load_config(args), rules_path=None, rules_text="")
     x = _load_signal(args.input)
     result = run(x, cfg)
     if args.atoms_out:

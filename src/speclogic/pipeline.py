@@ -69,6 +69,9 @@ BACKENDS = (*SIGNAL_BACKENDS, "lanczos")
 
 MAX_PADE_ORDER = 64
 
+#: Relative residual at which the automatic Padé order sweep stops.
+PADE_RESIDUAL_TOL = 1e-8
+
 #: Hankel-stack entries (float64) one batched pencil fit of
 #: :func:`detect_anomalies` may hold, 8 MiB; a chunk holds at least one
 #: window, so a long stream at stride 1 needs no more memory than a short one.
@@ -77,13 +80,13 @@ DETECT_CHUNK_ELEMENTS = 2**20
 
 @dataclass(frozen=True)
 class PadeSettings:
-    """Orders for the rational back-end; ``auto`` sweeps n = 1..n_max."""
+    """Orders for the rational back-end; ``auto`` sweeps n = 1..n_max until
+    the re-expansion residual is at most ``PADE_RESIDUAL_TOL``."""
 
     m: int = 1
     n: int = 2
     auto: bool = False
     n_max: int = 8
-    residual_tol: float = 1e-8
 
     def __post_init__(self):
         if not (0 <= self.m <= MAX_PADE_ORDER and 0 <= self.n <= MAX_PADE_ORDER):
@@ -108,14 +111,14 @@ class LanczosSettings:
     def __post_init__(self):
         if self.k is not None and self.k < 1:
             raise ConfigError(f"k must be positive, got {self.k}")
-        if not self.eta > 0:
-            raise ConfigError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < math.inf:
+            raise ConfigError(f"eta must be positive and finite, got {self.eta}")
 
 
 @dataclass(frozen=True)
 class SparseSettings:
-    """Decomposition limits: ``k_max`` atoms, singular-value cutoff for the
-    pencil."""
+    """Decomposition limits: ``k_max`` atoms, and the pencil's cutoff
+    ``sv_tol`` in [0, 1) on singular values relative to the largest."""
 
     k_max: int = 4
     sv_tol: float = 1e-8
@@ -123,6 +126,8 @@ class SparseSettings:
     def __post_init__(self):
         if self.k_max < 1:
             raise ConfigError(f"k_max must be positive, got {self.k_max}")
+        if not 0 <= self.sv_tol < 1:
+            raise ConfigError(f"sv_tol must lie in [0, 1), got {self.sv_tol}")
 
 
 def _matches(value, hint) -> bool:
@@ -184,6 +189,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         # parsed-rules cache: not a field, so replace() and asdict() skip it
         object.__setattr__(self, "_ruleset", None)
 
@@ -326,7 +333,7 @@ def _estimate(
         scale = unit_scale(x.samples)
         c = x.samples / scale
         if cfg.pade.auto:
-            sweep = auto_order_sweep(c, cfg.pade.n_max, cfg.pade.residual_tol)
+            sweep = auto_order_sweep(c, cfg.pade.n_max, PADE_RESIDUAL_TOL)
             m, n, rational = sweep.m, sweep.n, sweep.rational
             order_diag = {"auto": True, "residual": sweep.residual, "converged": sweep.converged}
         else:

@@ -12,10 +12,12 @@ the rule's head, so every program accepted here has a unique fixpoint.
 Programs where a predicate depends transitively on its own negation are
 rejected at parse time.
 
-Inference is semi-naive: within a stratum, rules are re-examined only when a
-positive body literal was newly derived, which is observably identical to
-naive iteration. Each head is derived at most once; firings are recorded in
-a replayable proof trace ordered by (stratum, pass, rule position).
+Inference runs plain passes within each stratum: a pass fires, in rule
+order, every rule whose head is not yet known and whose body holds against
+the facts known when the pass began, and the stratum ends when a pass fires
+nothing. Each head is derived at most once: in the first pass where a rule
+for it holds, by the first such rule in position. Firings are recorded in a
+replayable proof trace ordered by (stratum, pass, rule position).
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import InputError, RuleSyntaxError, StratificationError
 from .signal import read_json, read_text
-from .symbolic import IDENTIFIER_RE, SymbolSet
+from .symbolic import IDENTIFIER_RE, SymbolSet, _check_identifier
 
 _TOKEN_RE = re.compile(r"(=>|&|!|@|[A-Za-z][A-Za-z0-9_]*|_[A-Za-z0-9_]*)")
 
@@ -40,8 +43,7 @@ class Literal:
     negated: bool = False
 
     def __post_init__(self):
-        if not IDENTIFIER_RE.match(self.name):
-            raise InputError(f"literal name {self.name!r} must match [a-z_][a-z0-9_]*")
+        _check_identifier(self.name, "literal name")
 
     def __str__(self) -> str:
         return ("!" if self.negated else "") + self.name
@@ -60,16 +62,14 @@ class HornRule:
             raise InputError("rule body must be non-empty")
         if len(set(self.body)) != len(self.body):
             raise InputError(f"rule {self.id!r} has duplicate body literals")
-        if not IDENTIFIER_RE.match(self.head):
-            raise InputError(f"head {self.head!r} must match [a-z_][a-z0-9_]*")
-        if not IDENTIFIER_RE.match(self.id):
-            raise InputError(f"rule id {self.id!r} must match [a-z_][a-z0-9_]*")
+        _check_identifier(self.head, "head")
+        _check_identifier(self.id, "rule id")
 
-    @property
+    @cached_property
     def positive_names(self) -> frozenset[str]:
         return frozenset(l.name for l in self.body if not l.negated)
 
-    @property
+    @cached_property
     def negative_names(self) -> frozenset[str]:
         return frozenset(l.name for l in self.body if l.negated)
 
@@ -304,7 +304,7 @@ def format_rules(rs: RuleSet) -> str:
 
 
 def infer(rs: RuleSet, facts: SymbolSet) -> tuple[SymbolSet, ProofTrace]:
-    """Forward-chain to fixpoint, stratum by stratum.
+    """Forward-chain to fixpoint, stratum by stratum, in plain passes.
 
     Negated literals are tested against the fact set completed through the
     lower strata, which stratification makes final by construction. Returns
@@ -313,41 +313,24 @@ def infer(rs: RuleSet, facts: SymbolSet) -> tuple[SymbolSet, ProofTrace]:
     """
     known: set[str] = set(facts.names)
     steps: list[TraceStep] = []
-    if rs.rules:
-        top = max(rs.strata[r.head] for r in rs.rules)
-        for level in range(top + 1):
-            group = [r for r in rs.rules if rs.strata[r.head] == level]
-            if not group:
-                continue
-            delta: set[str] | None = None  # None on the first pass
-            while True:
-                fired: list[tuple[HornRule, TraceStep]] = []
-                pending: set[str] = set()
-                for rule in group:
-                    if rule.head in known or rule.head in pending:
-                        continue
-                    pos = rule.positive_names
-                    if delta is not None and delta.isdisjoint(pos):
-                        continue
-                    if pos <= known and known.isdisjoint(rule.negative_names):
-                        pending.add(rule.head)
-                        fired.append(
-                            (
-                                rule,
-                                TraceStep(
-                                    rule.id,
-                                    rule.head,
-                                    tuple(sorted(pos)),
-                                    tuple(sorted(rule.negative_names)),
-                                ),
-                            )
-                        )
-                if not fired:
-                    break
-                for _, step in fired:
-                    steps.append(step)
-                    known.add(step.head)
-                delta = {step.head for _, step in fired}
+    for level in sorted({rs.strata[r.head] for r in rs.rules}):
+        group = [r for r in rs.rules if rs.strata[r.head] == level]
+        while True:
+            fired: dict[str, TraceStep] = {}  # head -> step, in rule order
+            for rule in group:
+                if rule.head in known or rule.head in fired:
+                    continue
+                if rule.positive_names <= known and known.isdisjoint(rule.negative_names):
+                    fired[rule.head] = TraceStep(
+                        rule.id,
+                        rule.head,
+                        tuple(sorted(rule.positive_names)),
+                        tuple(sorted(rule.negative_names)),
+                    )
+            if not fired:
+                break
+            steps.extend(fired.values())
+            known.update(fired)
     derived = facts.union_names(known - set(facts.names))
     return derived, ProofTrace(tuple(steps))
 

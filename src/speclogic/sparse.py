@@ -274,6 +274,8 @@ def fit_matrix_pencil(
         raise InputError("windows of one batch must have equal length")
     if max_modes < 1:
         raise InputError(f"max_modes must be positive, got {max_modes}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     if n < 2 * max_modes + 2:
         raise InputError(
             f"need at least {2 * max_modes + 2} samples for {max_modes} modes, got {n}"

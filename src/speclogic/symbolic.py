@@ -9,6 +9,7 @@ axis emit ``<axis>_underflow`` rather than being dropped.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -59,6 +60,8 @@ class BinAxis:
         object.__setattr__(self, "labels", labels)
         if len(edges) == 0 or len(edges) != len(labels):
             raise InputError("need one label per edge (each edge opens an interval)")
+        if not all(math.isfinite(e) for e in edges):
+            raise InputError(f"bin edges must be finite, got {edges}")
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise InputError("bin edges must be strictly ascending")
         if len(set(labels)) != len(labels):
@@ -84,8 +87,10 @@ class BinningConfig:
     negligible_eps: float
 
     def __post_init__(self):
-        if not self.negligible_eps > 0:
-            raise InputError(f"negligible_eps must be positive, got {self.negligible_eps}")
+        if not 0 < self.negligible_eps < math.inf:
+            raise InputError(
+                f"negligible_eps must be positive and finite, got {self.negligible_eps}"
+            )
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,6 @@ def test_synth_deterministic():
     assert not np.array_equal(a.samples, c.samples)
 
 
-def test_synth_initial_value_is_drive_amplitude():
-    # cos(0) = 1, so pinning the amplitude box fixes x(0) exactly
-    series, _ = synth_oscillator("underdamped_low", params={"amp": (1.0, 1.0)}, seed=9)
-    assert series.samples[0] == pytest.approx(1.0)
-
-
 def test_synth_noise_changes_signal_but_keeps_label():
     clean, label = synth_oscillator("overdamped", seed=5)
     noisy, label2 = synth_oscillator("overdamped", noise_sigma=0.1, seed=5)
@@ -43,7 +37,7 @@ def test_synth_validation():
     with pytest.raises(InputError):
         synth_oscillator("overdamped", n=32)
     with pytest.raises(InputError):
-        synth_oscillator("overdamped", params={"frequency": (1, 2)})
+        synth_oscillator("overdamped", seed=-1)
 
 
 def test_each_regime_classifies_to_its_ground_truth():

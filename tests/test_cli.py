@@ -145,11 +145,22 @@ def test_lanczos_backend_rejected_by_parser(workdir, capsys):
         {"sparse": {"nls_iters": 60}},
         {"sparse": {"omp_tol": 1e-6}},
         {"lanczos": {"reorthogonalize": True}},
+        {"pade": {"residual_tol": 1e-8}},
+        {"seed": -2},
+        {"sparse": {"sv_tol": float("nan")}},
+        {"sparse": {"sv_tol": float("inf")}},
+        {"sparse": {"sv_tol": 1.0}},
+        {"binning": {"omega_bins": {"edges": [0.0, float("nan"), 4.0, 8.0],
+                                    "labels": ["low", "mid", "high", "hyper"]}}},
+        {"binning": {"negligible_eps": float("inf")}},
+        {"lanczos": {"eta": float("inf")}},
     ],
     ids=["unknown_key", "unknown_nested_key", "section_not_object", "axis_not_object",
          "wrong_scalar_type", "bool_as_int", "nested_bool_as_int", "removed_window",
          "removed_zero_pad_to", "removed_nls_iters", "removed_omp_tol",
-         "removed_reorthogonalize"],
+         "removed_reorthogonalize", "removed_residual_tol", "negative_seed", "sv_tol_nan",
+         "sv_tol_infinity", "sv_tol_one", "nan_bin_edge", "negligible_eps_infinity",
+         "eta_infinity"],
 )
 def test_malformed_config_exits_2(workdir, capsys, change):
     record = reference_config().to_dict()
@@ -159,9 +170,41 @@ def test_malformed_config_exits_2(workdir, capsys, change):
         else:
             record[key] = value
     cfg_path = workdir / "cfg.json"
-    cfg_path.write_text(json.dumps(record))
+    cfg_path.write_text(json.dumps(record))  # NaN and Infinity as json writes and reads them
     assert main(["run", "--input", str(workdir / "sig.csv"), "--config", str(cfg_path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--input", "{dir}/sig.csv", "--seed", "-1"],
+        ["detect", "--input", "{dir}/sig.csv", "--window", "128", "--stride", "64",
+         "--alert", "class_underdamped_high", "--seed", "-3"],
+        ["bench", "--samples", "2", "--seed", "-1"],
+        ["synth", "--regime", "overdamped", "--out", "{dir}/s.csv", "--seed", "-1"],
+    ],
+    ids=["run", "detect", "bench", "synth"],
+)
+def test_negative_seed_exits_2(workdir, capsys, command):
+    assert main([arg.format(dir=workdir) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_estimate_ignores_rules(workdir):
+    # a config with binning but no rules: the atoms never depend on the rules
+    record = reference_config().to_dict()
+    record["rules_text"] = None
+    cfg_path = workdir / "cfg.json"
+    cfg_path.write_text(json.dumps(record))
+    atoms = workdir / "atoms.json"
+    assert main(["estimate", "--input", str(workdir / "sig.csv"), "--config", str(cfg_path),
+                 "--atoms-out", str(atoms)]) == 0
+    out = workdir / "result.json"
+    assert main(["run", "--input", str(workdir / "sig.csv"), "--out", str(out)]) == 0
+    assert json.loads(atoms.read_text()) == json.loads(out.read_text())["atoms"]
 
 
 @pytest.mark.parametrize(

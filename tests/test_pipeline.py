@@ -89,7 +89,7 @@ def test_pade_auto_order():
     cfg = PipelineConfig(
         binning=wide_open_bins(),
         backend="pade_z",
-        pade=PadeSettings(auto=True, n_max=6, residual_tol=1e-8),
+        pade=PadeSettings(auto=True, n_max=6),
         rules_text="resonance_high => alert\n",
     )
     result = run(damped_cosine(2.6, 0.15), cfg)
@@ -527,7 +527,7 @@ def test_pade_auto_fits_each_order_once(monkeypatch):
     cfg = PipelineConfig(
         binning=wide_open_bins(),
         backend="pade_z",
-        pade=PadeSettings(auto=True, n_max=6, residual_tol=1e-8),
+        pade=PadeSettings(auto=True, n_max=6),
         rules_text="resonance_high => alert\n",
     )
     result = run(damped_cosine(2.6, 0.15), cfg)
@@ -544,7 +544,7 @@ def test_pade_auto_ill_conditioned_best_raises():
     cfg = PipelineConfig(
         binning=wide_open_bins(),
         backend="pade_z",
-        pade=PadeSettings(auto=True, n_max=8, residual_tol=1e-8),
+        pade=PadeSettings(auto=True, n_max=8),
         rules_text="resonance_high => alert\n",
     )
     assert run(TimeSeries(np.array(series), 0.05), cfg).diagnostics["estimate"]["orders"] == [1, 2]
@@ -611,6 +611,8 @@ def test_config_validation():
         LanczosSettings(eta=0.0)
     with pytest.raises(ConfigError):
         SparseSettings(k_max=0)
+    with pytest.raises(ConfigError):
+        PipelineConfig(binning=wide_open_bins(), seed=-1)
     cfg = PipelineConfig(binning=wide_open_bins())
     with pytest.raises(ConfigError):
         cfg.load_ruleset()  # neither rules_path nor rules_text

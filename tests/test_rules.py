@@ -163,6 +163,36 @@ def test_head_fires_at_most_once():
     assert trace.steps[0].rule_id == "r1"  # position order wins
 
 
+def test_golden_trace_of_passes_strata_and_shared_heads():
+    # stratum 0 lists its chain backwards, so it takes three firing passes;
+    # both "done" rules hold in stratum 1's first pass and the first by
+    # position fires; "never" fails on b3 from the completed stratum 0, so
+    # "quiet" in stratum 2 fires on its absence
+    text = """\
+b2 => b3 @third
+b1 => b2 @second
+a => b1 @first
+b3 & !blocked => done @via_chain
+a & !blocked => done @via_fact
+a & !b3 => never @shadowed
+!never => quiet @calm
+"""
+    rs = parse_rules(text)
+    assert [rs.strata[h] for h in ("b3", "done", "never", "quiet")] == [0, 1, 1, 2]
+    facts = SymbolSet.from_names(["a"])
+    derived, trace = infer(rs, facts)
+    assert derived.to_json() == ["a", "b1", "b2", "b3", "done", "quiet"]
+    assert json.dumps(trace.to_json()) == json.dumps([
+        {"rule_id": "first", "head": "b1", "body_pos": ["a"], "body_neg_checked": []},
+        {"rule_id": "second", "head": "b2", "body_pos": ["b1"], "body_neg_checked": []},
+        {"rule_id": "third", "head": "b3", "body_pos": ["b2"], "body_neg_checked": []},
+        {"rule_id": "via_chain", "head": "done", "body_pos": ["b3"],
+         "body_neg_checked": ["blocked"]},
+        {"rule_id": "calm", "head": "quiet", "body_pos": [], "body_neg_checked": ["never"]},
+    ])
+    assert replay(trace, facts, rs)
+
+
 def test_infer_deterministic_trace():
     text = "a => p\na => q\np & q => r\n"
     rs = parse_rules(text)

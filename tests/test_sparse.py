@@ -217,6 +217,11 @@ def test_pencil_too_short():
         fit_matrix_pencil(TimeSeries(np.ones(9), 0.1), 4)
 
 
+def test_pencil_rejects_a_negative_seed():
+    with pytest.raises(InputError, match="seed"):
+        fit_matrix_pencil(TimeSeries(np.ones(20), 0.1), 4, seed=-1)
+
+
 def test_pencil_batch_needs_equal_length_windows():
     with pytest.raises(InputError, match="equal length"):
         fit_matrix_pencil([TimeSeries(np.ones(20), 0.1), TimeSeries(np.ones(21), 0.1)], 4)

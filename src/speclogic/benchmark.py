@@ -16,6 +16,7 @@ Philox generator, so every sample is replayable.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -138,8 +139,9 @@ def synth_oscillator(
 ) -> tuple[TimeSeries, str]:
     """Generate one signal from a regime's parameter box.
 
-    Returns the series and its ground-truth class fact. Deterministic for a
-    fixed (regime, n, noise_sigma, seed, dt).
+    Returns the series and its ground-truth class fact. ``noise_sigma``, the
+    standard deviation of the added white noise, must be non-negative and
+    finite. Deterministic for a fixed (regime, n, noise_sigma, seed, dt).
     """
     if regime not in _REGIME_MAP:
         raise InputError(f"unknown regime {regime!r}; expected one of {REGIME_NAMES}")
@@ -147,6 +149,8 @@ def synth_oscillator(
         raise InputError(f"need at least 64 samples, got {n}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
+    if not 0 <= noise_sigma < math.inf:
+        raise InputError(f"noise_sigma must be non-negative and finite, got {noise_sigma}")
     spec = _REGIME_MAP[regime]
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -168,7 +172,9 @@ def synth_oscillator(
     for omega, gamma, amp in modes:
         x += amp * np.exp(-gamma * t) * np.cos(omega * t)
     if noise_sigma > 0:
-        x = x + noise_sigma * rng.standard_normal(n)
+        # noise past float64's range gives inf samples, which TimeSeries rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x + noise_sigma * rng.standard_normal(n)
     return TimeSeries(x, dt, label=regime), spec.class_head
 
 

@@ -26,23 +26,24 @@ ghost copies of converged Ritz values, which would read as extra
 resonances. The basis is returned with the tridiagonal; its buffer grows
 by doubling, so it holds fewer than twice the columns run. Breakdown (a
 vanishing recurrence residual) means an exact invariant subspace was found
-and is reported as a success, not an error. Every norm is BLAS nrm2, which
-scales as it sums, so neither a 1e300 nor a 1e-300 operator or start vector
-overflows or vanishes.
+and is reported as a success, not an error. Every norm in the recurrence
+is BLAS nrm2, which scales as it sums, so neither a 1e300 nor a 1e-300
+operator or start vector overflows or vanishes. scipy, which supplies nrm2
+and the tridiagonal eigensolvers, is imported on the first call that needs
+it, not with this module.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .errors import ConvergenceError, InputError, NumericError
-from .sparse import unit_scale
+from .signal import unit_scale
 
 #: beta_j <= BREAKDOWN_RTOL * ||H q1|| terminates the recurrence.
 BREAKDOWN_RTOL = 1e-12
@@ -172,13 +173,17 @@ class RitzSpectrum:
             raise InputError(f"weights must sum to 1 (got {w.sum()!r})")
 
 
-# the routine scipy.linalg.norm calls on a 1-d float64 array, bound once
-_BLAS_NRM2 = scipy.linalg.get_blas_funcs("nrm2", dtype=np.float64, ilp64="preferred")
+@functools.cache
+def _blas_nrm2():
+    """The routine scipy.linalg.norm calls on a 1-d float64 array, bound on first use."""
+    import scipy.linalg
+
+    return scipy.linalg.get_blas_funcs("nrm2", dtype=np.float64, ilp64="preferred")
 
 
 def _nrm2(v: np.ndarray) -> float:
     """2-norm by BLAS nrm2, which scales as it sums: no overflow or underflow."""
-    return float(_BLAS_NRM2(v))
+    return float(_blas_nrm2()(v))
 
 
 def _ritz_pairs(alpha: np.ndarray, beta: np.ndarray, residual: float):
@@ -188,6 +193,8 @@ def _ritz_pairs(alpha: np.ndarray, beta: np.ndarray, residual: float):
     if alpha.size == 1:
         lam, vec = alpha.copy(), np.ones((1, 1))
     else:
+        import scipy.linalg  # here, so importing speclogic loads no scipy
+
         try:
             lam, vec = scipy.linalg.eigh_tridiagonal(alpha, beta)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
@@ -203,6 +210,8 @@ def _window_pairs(alpha, beta, residual: float, lo: float, hi: float):
     Bisection (dstebz) finds the values and inverse iteration (dstein) their
     eigenvectors, in O(k) per pair instead of the full solve's O(k^2).
     """
+    from scipy.linalg import lapack  # here, so importing speclogic loads no scipy
+
     # a bisection tolerance as wide as the window only counts the values
     m, *_, info = lapack.dstebz(alpha, beta, 1, lo, hi, 0, 0, hi - lo, b"B")
     if info != 0 or not 0 < m <= SHORTCUT_PAIRS:

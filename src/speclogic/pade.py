@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dtbtrs
 
 from .errors import IllConditionedError, InputError
+from .signal import norm2
 
 #: Solver residuals above this fraction of ||c|| are reported as failures.
 MOMENT_RESIDUAL_RTOL = 1e-6
@@ -107,11 +106,10 @@ def _polynomial_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
 def fit_pade(c, m: int, n: int) -> RationalApprox:
     """Fit the [m/n] approximant to series coefficients ``c``.
 
-    The n x n moment matrix is a Toeplitz matrix (``scipy.linalg.toeplitz``)
-    over a copy of c_0..c_{m+n} padded with n leading zeros, which supplies
-    c_k = 0 for k < 0 when m < n; it is solved by least squares. The
-    numerator is the convolution of 1, b_1..b_n with c_0..c_m, truncated to
-    m+1 terms.
+    The n x n moment matrix is a Toeplitz matrix gathered from a copy of
+    c_0..c_{m+n} padded with n leading zeros, which supplies c_k = 0 for
+    k < 0 when m < n; it is solved by least squares. The numerator is the
+    convolution of 1, b_1..b_n with c_0..c_m, truncated to m+1 terms.
 
     Requires at least m+n+1 coefficients. Raises
     :class:`~speclogic.errors.IllConditionedError` when the moment system
@@ -128,16 +126,16 @@ def fit_pade(c, m: int, n: int) -> RationalApprox:
         raise InputError("series coefficients must be finite")
 
     used = c[: m + n + 1]
-    scale = float(scipy.linalg.norm(used, check_finite=False))
+    scale = norm2(used)
     if n == 0:
         return RationalApprox(used[: m + 1].copy(), np.empty(0), m, n)
 
     # rows[i-1, j-1] = c[m+i-j] for i, j = 1..n; padded[k + n] = c[k], 0 for k < 0
     padded = np.concatenate((np.zeros(n), used))
-    rows = scipy.linalg.toeplitz(padded[m + n : m + 2 * n], padded[m + 1 : m + n + 1][::-1])
+    rows = padded[m + n + np.subtract.outer(np.arange(n), np.arange(n))]
     rhs = -c[m + 1 : m + n + 1]
     b, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    residual = float(scipy.linalg.norm(rows @ b - rhs, check_finite=False))
+    residual = norm2(rows @ b - rhs)
     if residual > MOMENT_RESIDUAL_RTOL * scale:
         raise IllConditionedError(
             f"moment system for [{m}/{n}] is singular beyond least-squares rescue",
@@ -157,6 +155,8 @@ def taylor_coefficients(r: RationalApprox, count: int) -> np.ndarray:
     O(count*n) without pivoting (the unit diagonal needs none). Overflow
     gives inf/nan entries and no floating-point warning.
     """
+    from scipy.linalg.lapack import dtbtrs  # here, so importing speclogic loads no scipy
+
     band = np.repeat(r.denominator[:, None], count, axis=1)
     rhs = np.zeros(count)
     rhs[: r.m + 1] = r.a[:count]

@@ -43,20 +43,13 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, IllConditionedError, InputError, SpecLogicError
 from .lanczos import HermitianOp, RitzSpectrum, lanczos_tridiag, tridiag_eigen
 from .pade import PoleSet, RationalApprox, extract_poles, fit_pade, taylor_coefficients
 from .rules import ProofTrace, RuleSet, infer, load_rules, parse_rules
-from .signal import PreprocessConfig, TimeSeries, preprocess, read_json
-from .sparse import (
-    LorentzianAtom,
-    SparseSpectrum,
-    atoms_from_poles,
-    fit_matrix_pencil,
-    unit_scale,
-)
+from .signal import PreprocessConfig, TimeSeries, norm2, preprocess, read_json, unit_scale
+from .sparse import LorentzianAtom, SparseSpectrum, atoms_from_poles, fit_matrix_pencil
 from .symbolic import BinningConfig, SymbolSet, project
 
 # Placeholders for removed functions: bench/spans.py still wraps these names
@@ -268,6 +261,8 @@ def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
     whose moment system is ill-conditioned is never chosen; when every
     order is, the last order's :class:`IllConditionedError` is raised.
     """
+    import scipy.linalg  # here, so importing speclogic loads no scipy
+
     c = np.asarray(c, dtype=float)
     if n_max < 1:
         raise InputError(f"n_max must be positive, got {n_max}")
@@ -407,7 +402,7 @@ def _preprocessed(x: TimeSeries, cfg: PipelineConfig) -> TimeSeries:
     with _stage("preprocess"):
         pre = preprocess(x, cfg.preprocess)
         # residuals are reported at input scale, and an infinite one is not JSON
-        if not math.isfinite(scipy.linalg.norm(pre.samples, check_finite=False)):
+        if not math.isfinite(norm2(pre.samples)):
             raise InputError("the signal's 2-norm overflows float64; rescale it")
     return pre
 
@@ -415,16 +410,16 @@ def _preprocessed(x: TimeSeries, cfg: PipelineConfig) -> TimeSeries:
 def run(x: TimeSeries, cfg: PipelineConfig, fit: SparseSpectrum | None = None) -> RunResult:
     """Execute the full pipeline on a time series.
 
-    ``fit`` is the matrix-pencil fit of the preprocessed ``x`` made by the
-    caller in a stacked batch (see :func:`detect_anomalies`); the estimate
-    stage then takes it in place of fitting ``x`` alone, which gives the
-    same spectrum.
+    With ``fit`` given, ``x`` is a series the caller already preprocessed
+    and ``fit`` its matrix-pencil fit, made in a stacked batch (see
+    :func:`detect_anomalies`); the run then neither preprocesses nor fits
+    ``x``, and gives the result a run on the raw series would.
     """
     if fit is not None and cfg.backend != "matrix_pencil":
         raise ConfigError(f"a given fit is a matrix-pencil fit, config says {cfg.backend!r}")
     with _stage("rules"):
         ruleset = cfg.load_ruleset()
-    pre = _preprocessed(x, cfg)
+    pre = _preprocessed(x, cfg) if fit is None else x
     diagnostics: dict = {"preprocess": {"samples": len(pre)}}
     with _stage("estimate"):
         atoms = _estimate(pre, cfg, diagnostics, fit)
@@ -511,9 +506,10 @@ def detect_anomalies(
         segments = [TimeSeries(x.samples[start : start + window], x.dt, x.label) for start in chunk]
         fits = [None] * len(segments)
         if cfg.backend == "matrix_pencil":
-            windows = [_preprocessed(segment, cfg) for segment in segments]
+            # run takes each preprocessed window with its fit and does not preprocess it again
+            segments = [_preprocessed(segment, cfg) for segment in segments]
             with _stage("estimate"):
-                fits = _fit_pencil(windows, cfg)
+                fits = _fit_pencil(segments, cfg)
         for start, segment, fit in zip(chunk, segments, fits):
             result = run(segment, cfg, fit)
             if alert_head in result.derived.names:

@@ -1,4 +1,5 @@
-"""Time-domain signal container, mean removal, and file ingestion.
+"""Time-domain signal container, mean removal, scale-safe sample norms, and
+file ingestion.
 
 Everything here is a pure function over immutable values; results are safe
 to share between threads.
@@ -79,6 +80,38 @@ def preprocess(x: TimeSeries, cfg: PreprocessConfig) -> TimeSeries:
     if not cfg.detrend:
         return x
     return TimeSeries(x.samples - x.samples.mean(), x.dt, x.label)
+
+
+def unit_scale(samples: np.ndarray) -> float:
+    """The power of two at or below max|samples|, or 1.0 when all are zero.
+
+    Both signal back-ends fit ``samples / unit_scale(samples)``: no power of
+    a 1e300 signal overflows, a 1e-300 one is not read as zero, and since the
+    division is exact every rounding is the unscaled fit's at ordinary scale.
+    """
+    peak = float(np.max(np.abs(samples)))
+    return 2.0 ** (math.frexp(peak)[1] - 1) if peak > 0 else 1.0
+
+
+def norm2(v: np.ndarray) -> float:
+    """2-norm of a real or complex vector as a Python float, inf only when
+    the norm itself overflows float64, and never a floating-point warning.
+
+    The sum of squares comes from one BLAS dot product, which overflows to
+    inf silently. When that sum lies outside (1e-290, inf), squares may
+    have overflowed or lost precision to underflow, so the norm is taken
+    again of ``v / unit_scale(v)``, whose real and imaginary parts lie below
+    2 in modulus, and multiplied back. Dividing by a power of two rounds
+    only entries too small to change the norm.
+    """
+    sq = float(np.vdot(v, v).real)
+    if 1e-290 < sq < math.inf:
+        return math.sqrt(sq)
+    if np.iscomplexobj(v):
+        v = np.concatenate((v.real, v.imag))
+    scale = unit_scale(v)
+    unit = v / scale
+    return math.sqrt(float(np.vdot(unit, unit))) * scale
 
 
 def autocorrelation(x: TimeSeries, max_lag: int) -> TimeSeries:

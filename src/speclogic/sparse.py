@@ -26,11 +26,10 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericError
 from .pade import PoleSet
-from .signal import TimeSeries, read_json
+from .signal import TimeSeries, norm2, read_json, unit_scale
 
 #: Default relative singular-value cutoff for pencil order selection.
 SV_TOL_DEFAULT = 1e-8
@@ -149,17 +148,6 @@ def eval_spectrum(sp: SparseSpectrum, omega):
     return total
 
 
-def unit_scale(samples: np.ndarray) -> float:
-    """The power of two at or below max|samples|, or 1.0 when all are zero.
-
-    Both signal back-ends fit ``samples / unit_scale(samples)``: no power of
-    a 1e300 signal overflows, a 1e-300 one is not read as zero, and since the
-    division is exact every rounding is the unscaled fit's at ordinary scale.
-    """
-    peak = float(np.max(np.abs(samples)))
-    return 2.0 ** (math.frexp(peak)[1] - 1) if peak > 0 else 1.0
-
-
 def _pole_atom(
     z: complex, res: complex, dt: float, scale: float
 ) -> tuple[float, float, float] | None:
@@ -209,7 +197,7 @@ def atoms_from_poles(
     residual = 0.0
     if samples is not None:
         model = np.vander(modes.poles[kept], samples.size, increasing=True).T @ modes.residues[kept]
-        residual = float(scipy.linalg.norm(samples - model, check_finite=False)) * scale
+        residual = norm2(samples - model) * scale  # Python floats: an overflow gives inf
         if not math.isfinite(residual):
             raise NumericError("the fit residual overflows float64 at the input's scale")
     return SparseSpectrum.from_atoms(atoms, residual, int(np.count_nonzero(~partner & ~kept)))

@@ -40,6 +40,21 @@ def test_synth_validation():
         synth_oscillator("overdamped", seed=-1)
 
 
+@pytest.mark.parametrize("noise", [-1.0, -1e-12, float("nan"), float("inf")])
+def test_synth_and_benchmark_reject_bad_noise(noise):
+    # a negative or NaN sigma once gave the clean signal without a word
+    with pytest.raises(InputError, match="noise_sigma"):
+        synth_oscillator("overdamped", noise_sigma=noise, seed=3)
+    with pytest.raises(InputError, match="noise_sigma"):
+        run_benchmark(8, noise, seed=2)
+
+
+def test_synth_noise_past_float64_is_an_input_error():
+    # finite sigma, but sigma * N(0, 1) overflows: an InputError, no RuntimeWarning
+    with pytest.raises(InputError, match="non-finite"):
+        synth_oscillator("overdamped", noise_sigma=1e308, seed=3)
+
+
 def test_each_regime_classifies_to_its_ground_truth():
     cfg = reference_config()
     for i, name in enumerate(REGIME_NAMES):

@@ -193,6 +193,32 @@ def test_negative_seed_exits_2(workdir, capsys, command):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["synth", "--regime", "overdamped", "--seed", "3", "--out", "{dir}/s.csv", "--noise", "-1"],
+        ["synth", "--regime", "overdamped", "--seed", "3", "--out", "{dir}/s.csv", "--noise", "nan"],
+        ["bench", "--samples", "8", "--noise", "-0.5", "--seed", "2"],
+    ],
+    ids=["synth_negative", "synth_nan", "bench_negative"],
+)
+def test_bad_noise_exits_2(workdir, capsys, command):
+    assert main([arg.format(dir=workdir) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "noise_sigma" in err and "Traceback" not in err
+
+
+def test_zero_noise_writes_the_clean_signal(tmp_path):
+    from speclogic.benchmark import synth_oscillator
+
+    base = ["synth", "--regime", "overdamped", "--seed", "3", "--out"]
+    assert main(base + [str(tmp_path / "default.csv")]) == 0
+    assert main(base + [str(tmp_path / "zero.csv"), "--noise", "0"]) == 0
+    save_timeseries_csv(synth_oscillator("overdamped", seed=3)[0], tmp_path / "clean.csv")
+    clean = (tmp_path / "clean.csv").read_bytes()
+    assert (tmp_path / "zero.csv").read_bytes() == (tmp_path / "default.csv").read_bytes() == clean
+
+
 def test_estimate_ignores_rules(workdir):
     # a config with binning but no rules: the atoms never depend on the rules
     record = reference_config().to_dict()

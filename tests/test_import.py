@@ -7,15 +7,59 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+
+
+def _fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports speclogic from this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], env=env, check=True)
+
 
 @pytest.mark.parametrize("module", ["scipy.signal", "scipy.optimize"])
 def test_import_does_not_load_scipy_signal(module):
     # scipy.signal adds about 0.75 s to every start-up, and scipy.optimize (with
     # the scipy.sparse it loads) about 0.2 s and 20 MB; nothing may pull either in
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = f"import speclogic, sys; assert {module!r} not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    _fresh(f"import speclogic, sys; assert {module!r} not in sys.modules")
+
+
+def test_import_and_the_pencil_path_load_no_scipy():
+    # scipy.linalg adds about 0.2 s and 20 MB to a start-up; the default
+    # back-end needs nothing from it
+    _fresh(
+        "import sys\n"
+        "import speclogic\n"
+        f"assert {SCIPY_LOADED} == [], {SCIPY_LOADED}\n"
+        "from speclogic.benchmark import reference_config\n"
+        "from speclogic.pipeline import detect_anomalies, run\n"
+        "x, truth = speclogic.synth_oscillator('two_mode_far', noise_sigma=0.05, seed=3)\n"
+        "cfg = reference_config()\n"
+        "assert speclogic.benchmark.predicted_classes(run(x, cfg)) == [truth]\n"
+        "assert detect_anomalies(x, cfg, 128, 64, truth)\n"
+        f"assert {SCIPY_LOADED} == [], {SCIPY_LOADED}\n"
+    )
+
+
+def test_the_first_pade_and_lanczos_calls_load_scipy_and_succeed():
+    _fresh(
+        "import dataclasses, sys\n"
+        "import numpy as np\n"
+        "import speclogic\n"
+        "from speclogic.benchmark import predicted_classes, reference_config\n"
+        "from speclogic.pipeline import LanczosSettings, PadeSettings, run, run_hermitian\n"
+        "x, truth = speclogic.synth_oscillator('underdamped_high', seed=5)\n"
+        "cfg = dataclasses.replace(reference_config(), backend='pade_z', pade=PadeSettings(auto=True))\n"
+        "assert predicted_classes(run(x, cfg)) == [truth]\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+        # two heavy eigenvalues in a bulk, so the Ritz stop also runs its windowed solve
+        "cfg = dataclasses.replace(reference_config(), backend='lanczos', lanczos=LanczosSettings())\n"
+        "lam = np.concatenate([[-0.5, 0.6], np.linspace(-1.0, 1.0, 198)])\n"
+        "q1 = np.sqrt(np.concatenate([[0.45, 0.45], np.full(198, 0.1 / 198)]))\n"
+        "result = run_hermitian(speclogic.HermitianOp.from_dense(np.diag(lam)), q1, cfg)\n"
+        "omegas = np.array([atom.omega for atom in result.atoms.atoms])\n"
+        "assert all(np.min(np.abs(omegas - v)) <= 0.005 for v in (-0.5, 0.6)), omegas\n"
+    )
 
 
 def test_every_exported_name_resolves():

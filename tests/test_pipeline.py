@@ -27,6 +27,7 @@ from speclogic.benchmark import REGIME_NAMES, reference_config, synth_oscillator
 from speclogic import pipeline
 from speclogic.pade import PoleSet
 from speclogic.pipeline import LanczosSettings, PadeSettings, SparseSettings
+from speclogic.signal import PreprocessConfig, preprocess
 from speclogic.sparse import fit_matrix_pencil
 
 
@@ -429,6 +430,26 @@ def test_chunking_does_not_change_detect(monkeypatch, stride):
         assert sizes == [len(range(count)[i : i + per_chunk]) for i in range(0, count, per_chunk)]
     assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
     assert outputs[0] == reference_detect(x, cfg, 128, stride, "anomaly")
+
+
+@pytest.mark.parametrize("backend", ["matrix_pencil", "pade_z"])
+def test_detect_preprocesses_each_window_once(monkeypatch, backend):
+    # with detrending, a window preprocessed twice or not at all gives other samples
+    cfg = dataclasses.replace(
+        shift_config(), backend=backend, preprocess=PreprocessConfig(detrend=True)
+    )
+    x = detect_streams(1)[0]
+    expected = reference_detect(x, cfg, 128, 16, "anomaly")
+    calls = []
+
+    def counted(series, settings):
+        calls.append(len(series))
+        return preprocess(series, settings)
+
+    monkeypatch.setattr(pipeline, "preprocess", counted)
+    assert detect_json(x, cfg, 128, 16) == expected
+    assert calls == [128] * len(range(0, len(x) - 128 + 1, 16))
+    assert backend == "pade_z" or expected
 
 
 def test_run_rejects_a_fit_for_another_backend():

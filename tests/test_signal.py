@@ -1,14 +1,19 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from speclogic import InputError, TimeSeries, autocorrelation, preprocess
+from speclogic import InputError, NumericError, PoleSet, TimeSeries, autocorrelation, preprocess
 from speclogic.signal import (
     PreprocessConfig,
     load_timeseries_csv,
     load_timeseries_json,
+    norm2,
     save_timeseries_csv,
 )
-from speclogic.sparse import fit_matrix_pencil
+from speclogic.sparse import atoms_from_poles, fit_matrix_pencil
 
 
 def test_timeseries_validation():
@@ -115,3 +120,30 @@ def test_json_roundtrip(tmp_path):
     path.write_text("{not json")
     with pytest.raises(InputError):
         load_timeseries_json(path)
+
+
+def test_norm2_neither_overflows_nor_underflows_nor_warns():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert norm2(np.array([1e308, 1e308])) == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+        tiny = norm2(np.array([1e-310, 1e-310]))  # subnormal: every square underflows to 0
+        assert tiny == pytest.approx(math.sqrt(2) * 1e-310, rel=1e-12)
+        assert norm2(np.zeros(7)) == 0.0
+        assert norm2(np.array([3e200 + 4e200j, 0.0])) == pytest.approx(5e200, rel=1e-15)
+        assert norm2(np.array([3e-200 - 4e-200j])) == pytest.approx(5e-200, rel=1e-15)
+        # only a norm past float64's range is inf, and the residual's caller raises on it
+        assert norm2(np.array([1.5e308, 1.5e308])) == math.inf
+        assert norm2(np.array([1.5e308 + 1.5e308j])) == math.inf
+        empty = PoleSet(np.empty(0, complex), np.empty(0, complex))
+        with pytest.raises(NumericError, match="overflows"):
+            atoms_from_poles(empty, 0.1, np.array([1.5e308, -1.5e308]))
+
+
+def test_norm2_agrees_with_blas_nrm2():
+    rng = np.random.default_rng(17)
+    for trial in range(400):
+        v = rng.standard_normal(int(rng.integers(1, 800))) * 10.0 ** rng.uniform(-300, 300)
+        if trial % 2:
+            v = v + 1j * rng.standard_normal(v.size) * 10.0 ** rng.uniform(-300, 300)
+        reference = scipy.linalg.norm(v, check_finite=False)
+        assert norm2(v) == pytest.approx(reference, rel=1e-15, abs=0.0)

@@ -31,6 +31,11 @@ from .symbolic import BinAxis, BinningConfig
 DEFAULT_DT = 0.05
 DEFAULT_SAMPLES = 384
 
+#: Largest ``n`` of :func:`synth_oscillator` and largest ``estimate
+#: --grid-points``: 2**24 float64 values take 128 MiB, so a larger size is an
+#: InputError raised before anything is allocated, not a numpy memory error.
+MAX_POINTS = 2**24
+
 #: Class facts are heads starting with this prefix.
 CLASS_PREFIX = "class_"
 
@@ -141,12 +146,13 @@ def synth_oscillator(
 
     Returns the series and its ground-truth class fact. ``noise_sigma``, the
     standard deviation of the added white noise, must be non-negative and
-    finite. Deterministic for a fixed (regime, n, noise_sigma, seed, dt).
+    finite, and ``n`` must lie in [64, MAX_POINTS]. Deterministic for a fixed
+    (regime, n, noise_sigma, seed, dt).
     """
     if regime not in _REGIME_MAP:
         raise InputError(f"unknown regime {regime!r}; expected one of {REGIME_NAMES}")
-    if n < 64:
-        raise InputError(f"need at least 64 samples, got {n}")
+    if not 64 <= n <= MAX_POINTS:
+        raise InputError(f"need between 64 and {MAX_POINTS} samples, got {n}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     if not 0 <= noise_sigma < math.inf:

@@ -19,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmark import REGIME_NAMES, reference_config, run_benchmark, synth_oscillator
+from .benchmark import (
+    MAX_POINTS,
+    REGIME_NAMES,
+    reference_config,
+    run_benchmark,
+    synth_oscillator,
+)
 from .errors import InputError, NumericError
 from .pipeline import SIGNAL_BACKENDS, PipelineConfig, detect_anomalies, run
 from .rules import infer, load_rules, save_trace_json
@@ -63,8 +69,8 @@ def _emit(payload, out: str | None) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    if args.grid_points < 2:
-        raise InputError(f"--grid-points must be at least 2, got {args.grid_points}")
+    if not 2 <= args.grid_points <= MAX_POINTS:
+        raise InputError(f"--grid-points must lie in [2, {MAX_POINTS}], got {args.grid_points}")
     # the atoms never depend on the rules, so a config need not name any
     cfg = replace(_load_config(args), rules_path=None, rules_text="")
     x = _load_signal(args.input)

@@ -3,6 +3,7 @@ import pytest
 
 from speclogic import InputError, run, run_benchmark, synth_oscillator
 from speclogic.benchmark import (
+    MAX_POINTS,
     REGIME_NAMES,
     REGIMES,
     predicted_classes,
@@ -47,6 +48,16 @@ def test_synth_and_benchmark_reject_bad_noise(noise):
         synth_oscillator("overdamped", noise_sigma=noise, seed=3)
     with pytest.raises(InputError, match="noise_sigma"):
         run_benchmark(8, noise, seed=2)
+
+
+@pytest.mark.parametrize("n", [MAX_POINTS + 1, 100_000_000_000])
+def test_synth_and_benchmark_reject_n_past_the_maximum(n):
+    # the bound is checked before any array of n samples exists; 1e11 samples
+    # once ended in numpy's memory error
+    with pytest.raises(InputError, match="samples"):
+        synth_oscillator("overdamped", n=n, seed=3)
+    with pytest.raises(InputError, match="samples"):
+        run_benchmark(8, seed=2, n=n)
 
 
 def test_synth_noise_past_float64_is_an_input_error():

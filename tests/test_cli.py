@@ -208,6 +208,22 @@ def test_bad_noise_exits_2(workdir, capsys, command):
     assert "error:" in err and "noise_sigma" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["synth", "--regime", "overdamped", "--seed", "3", "--n", "100000000000",
+         "--out", "{dir}/x.csv"],
+        ["estimate", "--input", "{dir}/sig.csv", "--spectrum-out", "{dir}/f.csv",
+         "--grid-points", "100000000000"],
+    ],
+    ids=["synth_n", "grid_points"],
+)
+def test_size_past_the_maximum_exits_2(workdir, capsys, command):
+    assert main([arg.format(dir=workdir) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and str(2**24) in err and "Traceback" not in err
+
+
 def test_zero_noise_writes_the_clean_signal(tmp_path):
     from speclogic.benchmark import synth_oscillator
 
@@ -265,15 +281,33 @@ def test_malformed_input_file_exits_2(workdir, capsys, name, content, command):
     assert "error:" in err and "Traceback" not in err
 
 
-def test_near_max_dipole_run_reports_a_failed_fit(tmp_path, capsys):
-    # a pencil mode of this valid near-float-max input overflows only at the
-    # input's scale, so the fit failed: no atom, and nothing explained
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_near_max_dipole_run_exits_0_with_strict_json(tmp_path, capsys):
+    # whether a mode of this valid near-float-max input overflows at input
+    # scale depends on the sketch's random draw; either way the run succeeds
     samples = 1.2e308 * (np.eye(1, 384, 100)[0] - np.eye(1, 384, 101)[0])
     save_timeseries_csv(TimeSeries(samples, 0.05), tmp_path / "dipole.csv")
     assert main(["run", "--input", str(tmp_path / "dipole.csv")]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["atoms"]["atoms"] == []
-    assert out["atoms"]["residual_norm"] == pytest.approx(np.sqrt(2) * 1.2e308, rel=1e-12)
+    json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+
+
+def test_overflowing_mode_run_reports_a_failed_fit(tmp_path, capsys):
+    # ||x|| is about 1.3e308, but the mode's amplitude A/(2 gamma) = 5e308 is
+    # not finite under any correct fit, so the fit failed: no atom, and
+    # nothing explained
+    t = np.arange(384) * 0.05
+    samples = 1e307 * np.exp(-0.01 * t) * np.cos(3 * t)
+    save_timeseries_csv(TimeSeries(samples, 0.05), tmp_path / "mode.csv")
+    for seed in ["0", "5"]:
+        assert main(["run", "--input", str(tmp_path / "mode.csv"), "--seed", seed]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert out["atoms"]["atoms"] == []
+        norm = 1e307 * np.linalg.norm(samples / 1e307)
+        assert out["atoms"]["residual_norm"] == pytest.approx(norm, rel=1e-12)
+        assert out["diagnostics"]["estimate"]["dropped"] == 1
 
 
 def test_missing_input_exits_2(tmp_path, capsys):

@@ -41,6 +41,21 @@ def test_import_and_the_pencil_path_load_no_scipy():
     )
 
 
+def test_the_pencil_path_loads_no_numpy_ma():
+    # numpy.ma (which np.unique imports on numpy 2) adds about 14 ms and 1.2 MB
+    # to a start-up
+    _fresh(
+        "import sys\n"
+        "import speclogic\n"
+        "from speclogic.benchmark import reference_config\n"
+        "from speclogic.pipeline import detect_anomalies, run\n"
+        "x, truth = speclogic.synth_oscillator('two_mode_far', noise_sigma=0.05, seed=3)\n"
+        "run(x, reference_config())\n"
+        "detect_anomalies(x, reference_config(), 128, 64, truth)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+
+
 def test_the_first_pade_and_lanczos_calls_load_scipy_and_succeed():
     _fresh(
         "import dataclasses, sys\n"

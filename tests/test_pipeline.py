@@ -333,8 +333,11 @@ def test_detect_rejects_alert_head_no_rule_mentions(head):
 def detect_streams(seed, n=512, dt=0.05):
     """Four changepoint streams (even ones shift frequency by 20-30 %), then
     hostile ones: an all-zero stretch, a constant stretch, a lone spike, the
-    first stream scaled by 1e300 and by 1e-300, and a burst 1e9 times louder
-    than the rest of the stream (so windows of one batch differ in scale)."""
+    first stream scaled by 1e300 and by 1e-300, a burst 1e9 times louder
+    than the rest of the stream (so windows of one batch differ in scale),
+    and a lone spike at sample 127. The first 128-sample window ends on that
+    spike, so its leading right singular vector is the last Hankel column:
+    the shift solve meets an all-zero w0, whose minimum-norm shift is 0."""
     rng = np.random.default_rng(seed)
     t = np.arange(n) * dt
     streams = []
@@ -351,7 +354,9 @@ def detect_streams(seed, n=512, dt=0.05):
     spike[200] = 1.0
     burst = streams[1].copy()
     burst[:100] *= 1e9
-    streams += [zeros, const, spike, 1e300 * streams[0], 1e-300 * streams[0], burst]
+    edge = np.zeros(n)
+    edge[127] = 1.0
+    streams += [zeros, const, spike, 1e300 * streams[0], 1e-300 * streams[0], burst, edge]
     return [TimeSeries(x, dt) for x in streams]
 
 
@@ -386,6 +391,26 @@ def test_batched_pencil_equals_each_window_alone(seed):
             alone = fit_matrix_pencil(segment, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
             assert spectrum_record(fit) == spectrum_record(alone)
             assert run(segment, cfg, fit).to_json() == run(segment, cfg).to_json()
+
+
+def test_one_batch_of_orders_0_2_and_6_equals_each_window_alone():
+    cfg = shift_config()
+    max_modes = 2 * cfg.sparse.k_max
+    rng = np.random.default_rng(4)
+    t = np.arange(128) * 0.05
+    cosine = np.exp(-0.1 * t) * np.cos(2.8 * t)
+    samples = [rng.standard_normal(128), np.zeros(128), cosine, np.zeros(128),
+               rng.standard_normal(128), 3.0 * np.exp(-0.2 * t) * np.cos(1.5 * t)]
+    orders = []
+    for x in samples:  # the premise, from the exact Hankel singular values
+        sv = np.linalg.svd(x[np.add.outer(np.arange(64), np.arange(65))], compute_uv=False)
+        orders.append(min(int(np.count_nonzero(sv > cfg.sparse.sv_tol * sv[0])), max_modes))
+    assert orders == [6, 0, 2, 0, 6, 2]
+    segments = [TimeSeries(x, 0.05) for x in samples]
+    batch = fit_matrix_pencil(segments, max_modes, cfg.sparse.sv_tol, cfg.seed)
+    for segment, fit in zip(segments, batch):
+        alone = fit_matrix_pencil(segment, max_modes, cfg.sparse.sv_tol, cfg.seed)
+        assert spectrum_record(fit) == spectrum_record(alone)
 
 
 @pytest.mark.parametrize(

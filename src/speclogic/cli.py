@@ -35,6 +35,7 @@ from .signal import (
     load_timeseries_json,
     read_json,
     save_timeseries_csv,
+    write_csv,
 )
 from .sparse import eval_spectrum, load_spectrum_json, save_spectrum_json
 from .symbolic import SymbolSet, project
@@ -80,18 +81,13 @@ def _cmd_estimate(args) -> int:
     else:
         _emit(result.atoms.to_dict(), None)
     if args.spectrum_out:
-        atoms = result.atoms
-        if atoms.atoms:
-            centers = [a.omega for a in atoms.atoms]
-            widths = [a.gamma for a in atoms.atoms]
-            lo = min(centers) - 10 * max(widths)
-            hi = max(centers) + 10 * max(widths)
-        else:
-            lo, hi = 0.0, 1.0
+        atoms = result.atoms.atoms
+        lo, hi = 0.0, 1.0
+        if atoms:
+            pad = 10 * max(a.gamma for a in atoms)
+            lo, hi = min(a.omega for a in atoms) - pad, max(a.omega for a in atoms) + pad
         grid = np.linspace(lo, hi, args.grid_points)
-        values = eval_spectrum(atoms, grid)
-        rows = ["omega,S"] + [f"{float(w)!r},{float(s)!r}" for w, s in zip(grid, values)]
-        Path(args.spectrum_out).write_text("\n".join(rows) + "\n")
+        write_csv(args.spectrum_out, "omega,S", grid, eval_spectrum(result.atoms, grid))
     return 0
 
 
@@ -120,11 +116,10 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args)
     x = _load_signal(args.input)
     result = run(x, cfg)
-    payload = result.to_dict()
     if args.out:
         Path(args.out).write_text(result.to_json() + "\n")
     else:
-        _emit(payload, None)
+        _emit(result.to_dict(), None)
     return 0
 
 
@@ -140,9 +135,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    series, label = synth_oscillator(
-        args.regime, n=args.n, noise_sigma=args.noise, seed=args.seed
-    )
+    series, label = synth_oscillator(args.regime, n=args.n, noise_sigma=args.noise, seed=args.seed)
     save_timeseries_csv(series, args.out)
     if args.meta_out:
         meta = {
@@ -153,7 +146,7 @@ def _cmd_synth(args) -> int:
             "seed": args.seed,
             "dt": series.dt,
         }
-        Path(args.meta_out).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        _emit(meta, args.meta_out)
     return 0
 
 
@@ -238,10 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

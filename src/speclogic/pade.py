@@ -27,12 +27,6 @@ MOMENT_RESIDUAL_RTOL = 1e-6
 MULTIPLE_POLE_RTOL = 1e-6
 
 
-def _horner(coeffs: np.ndarray, s):
-    """Evaluate a polynomial with ascending coefficients at ``s`` (a point
-    or an array of points) by Horner's scheme."""
-    return np.polyval(coeffs[::-1], s)
-
-
 @dataclass(frozen=True, eq=False)
 class RationalApprox:
     """Rational function a(s)/(1 + b_1 s + ... + b_n s^n).
@@ -93,10 +87,7 @@ class PoleSet:
 def _polynomial_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
     """Companion-matrix roots; trailing near-zero coefficients are trimmed."""
     q = np.asarray(coeffs_ascending, dtype=float)
-    scale = np.max(np.abs(q))
-    if scale == 0:
-        return np.empty(0, dtype=complex)
-    keep = np.nonzero(np.abs(q) > 1e-14 * scale)[0]
+    keep = np.nonzero(np.abs(q) > 1e-14 * np.max(np.abs(q)))[0]
     if keep.size == 0 or keep[-1] == 0:
         return np.empty(0, dtype=complex)
     q = q[: keep[-1] + 1]
@@ -171,8 +162,6 @@ def extract_poles(r: RationalApprox) -> PoleSet:
     denominator yields an empty pole set. Roots closer than 1e-6 relative
     raise the ``multiple_poles`` flag on the result instead of failing.
     """
-    if r.n == 0:
-        return PoleSet(np.empty(0, complex), np.empty(0, complex))
     roots = _polynomial_roots(r.denominator)
     if roots.size == 0:
         return PoleSet(np.empty(0, complex), np.empty(0, complex))
@@ -180,7 +169,7 @@ def extract_poles(r: RationalApprox) -> PoleSet:
     q = r.denominator
     dq = q[1:] * np.arange(1, q.size)  # derivative, ascending coefficients
     with np.errstate(divide="ignore", invalid="ignore"):
-        residues = _horner(r.a, roots) / _horner(dq, roots)
+        residues = np.polyval(r.a[::-1], roots) / np.polyval(dq[::-1], roots)
 
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]

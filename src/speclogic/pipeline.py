@@ -49,7 +49,13 @@ from .lanczos import HermitianOp, RitzSpectrum, lanczos_tridiag, tridiag_eigen
 from .pade import PoleSet, RationalApprox, extract_poles, fit_pade, taylor_coefficients
 from .rules import ProofTrace, RuleSet, infer, load_rules, parse_rules
 from .signal import PreprocessConfig, TimeSeries, norm2, preprocess, read_json, unit_scale
-from .sparse import LorentzianAtom, SparseSpectrum, atoms_from_poles, fit_matrix_pencil
+from .sparse import (
+    SV_TOL_DEFAULT,
+    LorentzianAtom,
+    SparseSpectrum,
+    atoms_from_poles,
+    fit_matrix_pencil,
+)
 from .symbolic import BinningConfig, SymbolSet, project
 
 # Placeholders for removed functions: bench/spans.py still wraps these names
@@ -114,7 +120,7 @@ class SparseSettings:
     ``sv_tol`` in [0, 1) on singular values relative to the largest."""
 
     k_max: int = 4
-    sv_tol: float = 1e-8
+    sv_tol: float = SV_TOL_DEFAULT
 
     def __post_init__(self):
         if self.k_max < 1:

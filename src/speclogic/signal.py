@@ -1,5 +1,5 @@
-"""Time-domain signal container, mean removal, scale-safe sample norms, and
-file ingestion.
+"""Time-domain signal container, mean removal, scale-safe sample norms, file
+ingestion and CSV output.
 
 Everything here is a pure function over immutable values; results are safe
 to share between threads.
@@ -198,11 +198,20 @@ def load_timeseries_csv(path: str | Path) -> TimeSeries:
     return TimeSeries(np.asarray(v), dt)
 
 
+def write_csv(path: str | Path, header: str, *columns: np.ndarray) -> None:
+    """Write ``header``, then row i of the equal-length float ``columns`` as the
+    ``repr`` of each value, in blocks of rows: no more text is held than one block's."""
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    step = 2**16  # rows per block
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for lo in range(0, len(columns[0]), step):
+            f.writelines(row % v for v in zip(*[c[lo : lo + step].tolist() for c in columns]))
+
+
 def save_timeseries_csv(x: TimeSeries, path: str | Path) -> None:
     """Write ``x`` as a ``t,value`` CSV readable by :func:`load_timeseries_csv`."""
-    rows = ["t,value"]
-    rows += [f"{float(t)!r},{float(v)!r}" for t, v in zip(x.times, x.samples)]
-    Path(path).write_text("\n".join(rows) + "\n")
+    write_csv(path, "t,value", x.times, x.samples)
 
 
 def load_timeseries_json(path: str | Path) -> TimeSeries:

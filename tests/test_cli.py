@@ -6,6 +6,7 @@ import pytest
 from speclogic.benchmark import reference_config
 from speclogic.cli import main
 from speclogic.signal import TimeSeries, save_timeseries_csv
+from speclogic.sparse import MAX_PENCIL_SAMPLES
 
 
 @pytest.fixture
@@ -308,6 +309,17 @@ def test_overflowing_mode_run_reports_a_failed_fit(tmp_path, capsys):
         norm = 1e307 * np.linalg.norm(samples / 1e307)
         assert out["atoms"]["residual_norm"] == pytest.approx(norm, rel=1e-12)
         assert out["diagnostics"]["estimate"]["dropped"] == 1
+
+
+def test_run_past_the_pencil_maximum_exits_2(tmp_path, capsys):
+    # the pencil's Hankel copy of this signal would take 2 GiB
+    t = np.arange(MAX_PENCIL_SAMPLES + 1) * 0.05
+    sig = tmp_path / "long.json"
+    sig.write_text(json.dumps({"dt": 0.05, "samples": np.cos(3 * t).tolist()}))
+    assert main(["run", "--input", str(sig)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [stage: estimate]") and str(MAX_PENCIL_SAMPLES) in err
+    assert "Traceback" not in err
 
 
 def test_missing_input_exits_2(tmp_path, capsys):

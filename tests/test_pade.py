@@ -130,6 +130,7 @@ def test_poles_of_geometric():
 def test_poles_of_exp_one_one():
     ps = extract_poles(fit_pade([1.0, 1.0, 0.5, 1.0 / 6.0], 1, 1))
     assert ps.poles[0] == pytest.approx(2.0)
+    assert not ps.multiple_poles
 
 
 def test_empty_poles_for_polynomial():

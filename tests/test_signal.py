@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from speclogic.signal import (
     load_timeseries_json,
     norm2,
     save_timeseries_csv,
+    write_csv,
 )
 from speclogic.sparse import atoms_from_poles, fit_matrix_pencil
 
@@ -91,6 +93,41 @@ def test_csv_roundtrip(tmp_path):
     back = load_timeseries_csv(path)
     assert back.dt == pytest.approx(0.1, rel=1e-12)
     assert np.allclose(back.samples, x.samples)
+
+
+AWKWARD = [1e-300, -0.0, 1 / 3, 1.5e308, -5e-324, 0.1 + 0.2]
+
+
+def test_csv_writer_bytes_equal_rows_joined_whole(tmp_path):
+    # the rows, each value its float's repr, as they were once joined into one
+    # string; the long columns cross a block boundary of the writer
+    def joined(header, *columns):
+        rows = [header] + [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+        return ("\n".join(rows) + "\n").encode()
+
+    for n in (len(AWKWARD), 2**16 + 3):
+        samples = np.resize(AWKWARD, n)
+        x = TimeSeries(samples, 1 / 3)
+        save_timeseries_csv(x, tmp_path / "sig.csv")
+        assert (tmp_path / "sig.csv").read_bytes() == joined("t,value", x.times, samples)
+        omega = np.linspace(-1 / 3, 1e-300, n)
+        write_csv(tmp_path / "spec.csv", "omega,S", omega, samples[::-1])
+        assert (tmp_path / "spec.csv").read_bytes() == joined("omega,S", omega, samples[::-1])
+
+
+def test_csv_writer_holds_one_block_of_rows(tmp_path):
+    # the text of 2**18 rows exceeds the bound, so a writer that joined them
+    # all before writing would fail it
+    x = TimeSeries(np.random.default_rng(3).standard_normal(2**18), 1 / 3)
+    bound = 8 * 2**20
+    tracemalloc.start()
+    try:
+        save_timeseries_csv(x, tmp_path / "long.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "long.csv").stat().st_size > bound
+    assert peak < bound
 
 
 def test_csv_rejects_nonuniform(tmp_path):

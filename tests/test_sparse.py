@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,12 @@ from speclogic import (
     eval_spectrum,
     fit_matrix_pencil,
 )
-from speclogic.sparse import SKETCH_OVERSAMPLE, lorentzian_model_jacobian, unit_scale
+from speclogic.sparse import (
+    MAX_PENCIL_SAMPLES,
+    SKETCH_OVERSAMPLE,
+    lorentzian_model_jacobian,
+    unit_scale,
+)
 
 
 def damped_cosines(modes, n=600, dt=0.05):
@@ -215,6 +221,19 @@ def test_pencil_zero_signal():
 def test_pencil_too_short():
     with pytest.raises(InputError):
         fit_matrix_pencil(TimeSeries(np.ones(9), 0.1), 4)
+
+
+def test_pencil_rejects_a_series_past_its_maximum_before_allocating():
+    # the Hankel copy of this series would take 2 GiB
+    x = TimeSeries(np.ones(MAX_PENCIL_SAMPLES + 1), 0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=str(MAX_PENCIL_SAMPLES)):
+            fit_matrix_pencil(x, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_pencil_rejects_a_negative_seed():

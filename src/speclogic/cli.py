@@ -28,16 +28,17 @@ from .benchmark import (
 )
 from .errors import InputError, NumericError
 from .pipeline import SIGNAL_BACKENDS, PipelineConfig, detect_anomalies, run
-from .rules import infer, load_rules, save_trace_json
+from .rules import infer, load_rules
 from .signal import (
     TimeSeries,
     load_timeseries_csv,
     load_timeseries_json,
     read_json,
     save_timeseries_csv,
+    unit_scale,
     write_csv,
 )
-from .sparse import eval_spectrum, load_spectrum_json, save_spectrum_json
+from .sparse import SparseSpectrum, eval_spectrum
 from .symbolic import SymbolSet, project
 
 
@@ -50,7 +51,7 @@ def _load_signal(path: str) -> TimeSeries:
 def _load_config(args) -> PipelineConfig:
     """The ``--config`` file (or the built-in one) with the ``--backend``,
     ``--rules`` and ``--seed`` overrides of the subcommands that take them."""
-    cfg = PipelineConfig.from_json_file(args.config) if args.config else reference_config()
+    cfg = PipelineConfig.from_dict(read_json(args.config)) if args.config else reference_config()
     overrides = {}
     if getattr(args, "backend", None):
         overrides["backend"] = args.backend
@@ -61,12 +62,17 @@ def _load_config(args) -> PipelineConfig:
     return replace(cfg, **overrides)
 
 
-def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text: str, out: str | None) -> None:
+    """``text`` and a newline to the file ``out``, or to stdout when it is None."""
     if out:
         Path(out).write_text(text + "\n")
     else:
         print(text)
+
+
+def _emit(payload, out: str | None) -> None:
+    """``payload`` as JSON, keys sorted and indented: every JSON the CLI writes but ``run``'s."""
+    _write(json.dumps(payload, indent=2, sort_keys=True), out)
 
 
 def _cmd_estimate(args) -> int:
@@ -74,26 +80,27 @@ def _cmd_estimate(args) -> int:
         raise InputError(f"--grid-points must lie in [2, {MAX_POINTS}], got {args.grid_points}")
     # the atoms never depend on the rules, so a config need not name any
     cfg = replace(_load_config(args), rules_path=None, rules_text="")
-    x = _load_signal(args.input)
-    result = run(x, cfg)
-    if args.atoms_out:
-        save_spectrum_json(result.atoms, args.atoms_out)
-    else:
-        _emit(result.atoms.to_dict(), None)
+    result = run(_load_signal(args.input), cfg)
+    _emit(result.atoms.to_dict(), args.atoms_out)
     if args.spectrum_out:
         atoms = result.atoms.atoms
-        lo, hi = 0.0, 1.0
+        lo, hi, scale = 0.0, 1.0, 1.0
         if atoms:
-            pad = 10 * max(a.gamma for a in atoms)
-            lo, hi = min(a.omega for a in atoms) - pad, max(a.omega for a in atoms) + pad
-        grid = np.linspace(lo, hi, args.grid_points)
+            # the range at unit scale, so no bound overflows at any dt; the division is exact
+            scale = unit_scale(np.array([(a.omega, a.gamma) for a in atoms]))
+            pad = 10 * max(a.gamma / scale for a in atoms)
+            lo = min(a.omega / scale for a in atoms) - pad
+            hi = max(a.omega / scale for a in atoms) + pad
+        if np.isinf(max(-lo, hi) * scale):
+            raise InputError("the spectrum's frequency range overflows float64")
+        grid = np.linspace(lo, hi, args.grid_points) * scale
         write_csv(args.spectrum_out, "omega,S", grid, eval_spectrum(result.atoms, grid))
     return 0
 
 
 def _cmd_project(args) -> int:
     cfg = _load_config(args)
-    atoms = load_spectrum_json(args.atoms)
+    atoms = SparseSpectrum.from_dict(read_json(args.atoms))
     predicates = project(atoms, cfg.binning)
     _emit(predicates.to_json(), args.out)
     return 0
@@ -108,18 +115,13 @@ def _cmd_reason(args) -> int:
     derived, trace = infer(rules, facts)
     _emit(derived.to_json(), args.out)
     if args.trace_out:
-        save_trace_json(trace, args.trace_out)
+        _emit(trace.to_json(), args.trace_out)
     return 0
 
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    x = _load_signal(args.input)
-    result = run(x, cfg)
-    if args.out:
-        Path(args.out).write_text(result.to_json() + "\n")
-    else:
-        _emit(result.to_dict(), None)
+    _write(run(_load_signal(args.input), cfg).to_json(), args.out)
     return 0
 
 
@@ -151,7 +153,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = PipelineConfig.from_json_file(args.config) if args.config else None
+    cfg = PipelineConfig.from_dict(read_json(args.config)) if args.config else None
     report = run_benchmark(args.samples, args.noise, seed=args.seed, cfg=cfg)
     _emit(report.to_dict(), args.out)
     return 0

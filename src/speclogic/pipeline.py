@@ -39,7 +39,6 @@ import types
 import typing
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +47,7 @@ from .errors import ConfigError, IllConditionedError, InputError, SpecLogicError
 from .lanczos import HermitianOp, RitzSpectrum, lanczos_tridiag, tridiag_eigen
 from .pade import PoleSet, RationalApprox, extract_poles, fit_pade, taylor_coefficients
 from .rules import ProofTrace, RuleSet, infer, load_rules, parse_rules
-from .signal import PreprocessConfig, TimeSeries, norm2, preprocess, read_json, unit_scale
+from .signal import PreprocessConfig, TimeSeries, norm2, preprocess, unit_scale
 from .sparse import (
     SV_TOL_DEFAULT,
     LorentzianAtom,
@@ -162,7 +161,7 @@ def _from_record(cls, record, where: str):
         values[key] = value
     try:
         return cls(**values)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: an int past float64
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -213,10 +212,6 @@ class PipelineConfig:
         """Inverse of :meth:`to_dict`; rejects unknown keys and wrong types
         at every level with :class:`ConfigError`."""
         return _from_record(cls, record, "pipeline config")
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_dict(read_json(path))
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,6 @@ replayable proof trace ordered by (stratum, pass, rule position).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -357,10 +356,6 @@ def replay(trace: ProofTrace, facts: SymbolSet, rs: RuleSet) -> bool:
         known.add(step.head)
     derived, _ = infer(rs, facts)
     return known == set(derived.names)
-
-
-def save_trace_json(trace: ProofTrace, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(trace.to_json()))
 
 
 def load_trace_json(path: str | Path) -> ProofTrace:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,12 +131,19 @@ def autocorrelation(x: TimeSeries, max_lag: int) -> TimeSeries:
     return TimeSeries(c, x.dt, x.label)
 
 
-def read_text(path: str | Path) -> str:
-    """The UTF-8 text of the file ``path``; other bytes are an :class:`InputError`."""
+@contextmanager
+def _utf8(path: str | Path):
+    """Turn a ``UnicodeDecodeError`` in the block into an :class:`InputError` naming ``path``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        yield
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file ``path``; other bytes are an :class:`InputError`."""
+    with _utf8(path):
+        return Path(path).read_text(encoding="utf-8")
 
 
 def read_json(path: str | Path):
@@ -154,29 +163,31 @@ def load_timeseries_csv(path: str | Path) -> TimeSeries:
 
     Spacing is validated to relative tolerance 1e-6; non-uniform input, and
     times or steps that are not finite floats, are rejected with a
-    descriptive error.
+    descriptive error. Rows are read one line of the open file at a time
+    into two float64 columns, so no more text is held than one row's.
     """
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise InputError(f"{path}: empty file")
-    header = [h.strip().lower() for h in lines[0].split(",")]
-    if header[:2] != ["t", "value"]:
-        raise InputError(f"{path}: expected header 't,value', got {lines[0]!r}")
-    t, v = [], []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) < 2:
-            raise InputError(f"{path}:{i}: expected two comma-separated fields")
-        try:
-            t.append(float(parts[0]))
-            v.append(float(parts[1]))
-        except ValueError:
-            raise InputError(f"{path}:{i}: non-numeric row {line!r}") from None
+    t, v = array("d"), array("d")
+    with _utf8(path), open(path, encoding="utf-8") as lines:
+        header = next(lines, None)
+        if header is None:
+            raise InputError(f"{path}: empty file")
+        header = header.rstrip("\n")
+        if [h.strip().lower() for h in header.split(",")][:2] != ["t", "value"]:
+            raise InputError(f"{path}: expected header 't,value', got {header!r}")
+        for i, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) < 2:
+                raise InputError(f"{path}:{i}: expected two comma-separated fields")
+            try:
+                t.append(float(parts[0]))
+                v.append(float(parts[1]))
+            except ValueError:
+                line = line.rstrip("\n")
+                raise InputError(f"{path}:{i}: non-numeric row {line!r}") from None
     if len(t) < 2:
         raise InputError(f"{path}: need at least 2 rows")
-    t = np.asarray(t)
     if not np.all(np.isfinite(t)):
         raise InputError(f"{path}: time column must be finite")
     # a step past float64 reads inf (and its median or deviation inf or nan),
@@ -195,7 +206,7 @@ def load_timeseries_csv(path: str | Path) -> TimeSeries:
             f"{path}: non-uniform time spacing near row {worst + 2} "
             f"(step {steps[worst]:.9g} vs median {dt:.9g})"
         )
-    return TimeSeries(np.asarray(v), dt)
+    return TimeSeries(v, dt)
 
 
 def write_csv(path: str | Path, header: str, *columns: np.ndarray) -> None:

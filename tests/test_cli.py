@@ -5,8 +5,13 @@ import pytest
 
 from speclogic.benchmark import reference_config
 from speclogic.cli import main
+from speclogic.rules import infer, load_rules, load_trace_json, replay
 from speclogic.signal import TimeSeries, save_timeseries_csv
 from speclogic.sparse import MAX_PENCIL_SAMPLES
+from speclogic.symbolic import SymbolSet
+
+#: An integer JSON reads exactly but float64 cannot hold.
+HUGE_INT = "9" * 400
 
 
 @pytest.fixture
@@ -72,6 +77,56 @@ def test_run_output_deterministic(workdir):
     assert main(["run", "--input", str(sig), "--out", str(out1)]) == 0
     assert main(["run", "--input", str(sig), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_run_prints_the_bytes_it_writes(workdir, capsys):
+    out = workdir / "result.json"
+    assert main(["run", "--input", str(workdir / "sig.csv")]) == 0
+    printed = capsys.readouterr().out
+    assert main(["run", "--input", str(workdir / "sig.csv"), "--out", str(out)]) == 0
+    assert out.read_bytes() == printed.encode()
+
+
+def test_estimate_prints_the_bytes_it_writes(workdir, capsys):
+    atoms = workdir / "atoms.json"
+    assert main(["estimate", "--input", str(workdir / "sig.csv")]) == 0
+    printed = capsys.readouterr().out
+    assert main(["estimate", "--input", str(workdir / "sig.csv"), "--atoms-out", str(atoms)]) == 0
+    assert atoms.read_bytes() == printed.encode()
+
+
+def test_reason_trace_file_is_the_printed_form_and_replays(workdir):
+    rules = workdir / "rules.txt"
+    rules.write_text("a & !z => b @main\nb => c\n")
+    (workdir / "facts.json").write_text('["a"]')
+    path = workdir / "trace.json"
+    assert main(["reason", "--facts", str(workdir / "facts.json"), "--rules", str(rules),
+                 "--trace-out", str(path)]) == 0
+    rs, facts = load_rules(rules), SymbolSet.from_names(["a"])
+    _, trace = infer(rs, facts)
+    assert path.read_text() == json.dumps(trace.to_json(), indent=2, sort_keys=True) + "\n"
+    back = load_trace_json(path)
+    assert back == trace and replay(back, facts, rs)
+
+
+@pytest.mark.parametrize("dt", [1e-307, 1e-300, 1e-200, 1e200, 1e300])
+def test_estimate_spectrum_scales_with_dt(tmp_path, dt):
+    # at sample spacing dt, a clean damped cosine has the spectrum it has at
+    # spacing 1, with omega divided by dt and S multiplied by dt; a
+    # RuntimeWarning is an error under the test configuration
+    n = np.arange(384)
+    samples = (np.exp(-0.002 * n) * np.cos(0.15 * n)).tolist()
+    spectra = []
+    for step in (1.0, dt):
+        (tmp_path / "sig.json").write_text(json.dumps({"dt": step, "samples": samples}))
+        assert main(["estimate", "--input", str(tmp_path / "sig.json"),
+                     "--atoms-out", str(tmp_path / "atoms.json"),
+                     "--spectrum-out", str(tmp_path / "spec.csv")]) == 0
+        spectra.append(np.loadtxt(tmp_path / "spec.csv", delimiter=",", skiprows=1))
+    ref, got = spectra
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got[:, 0] * dt, ref[:, 0], rtol=1e-12)
+    np.testing.assert_allclose(got[:, 1] / dt, ref[:, 1], rtol=0, atol=1e-12 * ref[:, 1].max())
 
 
 def test_detect_command(tmp_path):
@@ -155,13 +210,15 @@ def test_lanczos_backend_rejected_by_parser(workdir, capsys):
                                     "labels": ["low", "mid", "high", "hyper"]}}},
         {"binning": {"negligible_eps": float("inf")}},
         {"lanczos": {"eta": float("inf")}},
+        {"binning": {"omega_bins": {"edges": [0.0, 2.0, 4.0, int(HUGE_INT)],
+                                    "labels": ["low", "mid", "high", "hyper"]}}},
     ],
     ids=["unknown_key", "unknown_nested_key", "section_not_object", "axis_not_object",
          "wrong_scalar_type", "bool_as_int", "nested_bool_as_int", "removed_window",
          "removed_zero_pad_to", "removed_nls_iters", "removed_omp_tol",
          "removed_reorthogonalize", "removed_residual_tol", "negative_seed", "sv_tol_nan",
          "sv_tol_infinity", "sv_tol_one", "nan_bin_edge", "negligible_eps_infinity",
-         "eta_infinity"],
+         "eta_infinity", "bin_edge_past_float64"],
 )
 def test_malformed_config_exits_2(workdir, capsys, change):
     record = reference_config().to_dict()
@@ -264,10 +321,20 @@ def test_estimate_ignores_rules(workdir):
         ("probe.json", b'{"dt": 0.1, "samples": "abc"}', ["run", "--input"]),
         ("probe.csv", b"t,value\n0,1\n1,2\ninf,3\n", ["run", "--input"]),
         ("probe.csv", b"t,value\n0,1\n1e308,2\n-1e308,3\n", ["run", "--input"]),
+        ("probe.json", f'{{"atoms": [{{"omega": {HUGE_INT}, "gamma": 1, "amp": 1}}]}}'.encode(),
+         ["project", "--atoms"]),
+        ("probe.json", f'{{"atoms": [], "residual_norm": {HUGE_INT}}}'.encode(),
+         ["project", "--atoms"]),
+        # the mode z = -0.5 at dt = 2e-308 has omega = pi/dt and gamma = ln 2/dt, so the
+        # spectrum's range omega + 10 gamma lies past float64
+        ("probe.json", json.dumps({"dt": 2e-308, "samples": [(-0.5) ** i + 0.3 * 0.9 ** i
+                                                            for i in range(64)]}).encode(),
+         ["estimate", "--spectrum-out", "{dir}/spec.csv", "--input"]),
     ],
     ids=["signal_json_not_utf8", "signal_csv_not_utf8", "config_not_utf8", "atoms_not_utf8",
          "rules_not_utf8", "facts_not_utf8", "deeply_nested_json", "sample_not_number",
-         "samples_a_string", "infinite_time", "time_step_overflows"],
+         "samples_a_string", "infinite_time", "time_step_overflows", "omega_past_float64",
+         "residual_norm_past_float64", "spectrum_range_past_float64"],
 )
 def test_malformed_input_file_exits_2(workdir, capsys, name, content, command):
     (workdir / "facts.json").write_text('["a"]')

@@ -27,7 +27,7 @@ from speclogic.benchmark import REGIME_NAMES, reference_config, synth_oscillator
 from speclogic import pipeline
 from speclogic.pade import PoleSet
 from speclogic.pipeline import LanczosSettings, PadeSettings, SparseSettings
-from speclogic.signal import PreprocessConfig, preprocess
+from speclogic.signal import PreprocessConfig, preprocess, read_json
 from speclogic.sparse import fit_matrix_pencil
 
 
@@ -635,7 +635,7 @@ def test_config_json_roundtrip(tmp_path):
     cfg = pencil_config("a => b\n")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
-    back = PipelineConfig.from_json_file(path)
+    back = PipelineConfig.from_dict(read_json(path))
     assert back.to_dict() == cfg.to_dict()
 
 

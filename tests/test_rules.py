@@ -14,7 +14,7 @@ from speclogic import (
     parse_rules,
     replay,
 )
-from speclogic.rules import Literal, ProofTrace, load_rules, save_trace_json, load_trace_json
+from speclogic.rules import Literal, ProofTrace, load_rules, load_trace_json
 
 
 def names(symbolset):
@@ -278,7 +278,7 @@ def test_trace_json_roundtrip(tmp_path):
     facts = SymbolSet.from_names(["a"])
     _, trace = infer(rs, facts)
     path = tmp_path / "trace.json"
-    save_trace_json(trace, path)
+    path.write_text(json.dumps(trace.to_json()))
     back = load_trace_json(path)
     assert back == trace
     assert replay(back, facts, rs)

@@ -130,6 +130,22 @@ def test_csv_writer_holds_one_block_of_rows(tmp_path):
     assert peak < bound
 
 
+def test_csv_reader_holds_one_row_of_text(tmp_path):
+    # a reader that held the file's text, its lines or Python float lists of
+    # 2**18 rows would exceed the bound (the whole-text reader peaked at 41 MiB)
+    x = TimeSeries(np.random.default_rng(4).standard_normal(2**18), 1 / 3)
+    save_timeseries_csv(x, tmp_path / "long.csv")
+    bound = 16 * 2**20
+    tracemalloc.start()
+    try:
+        back = load_timeseries_csv(tmp_path / "long.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.samples, x.samples)
+    assert peak < bound
+
+
 def test_csv_rejects_nonuniform(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,value\n0.0,1.0\n0.1,2.0\n0.32,3.0\n")
@@ -138,13 +154,20 @@ def test_csv_rejects_nonuniform(tmp_path):
 
 
 def test_csv_rejects_bad_header_and_rows(tmp_path):
+    # each message names the line, for every line ending the reader accepts
     path = tmp_path / "bad.csv"
-    path.write_text("time,val\n0,1\n1,2\n")
-    with pytest.raises(InputError, match="header"):
-        load_timeseries_csv(path)
-    path.write_text("t,value\n0,1\nx,2\n")
-    with pytest.raises(InputError, match="non-numeric"):
-        load_timeseries_csv(path)
+    for text, message in [
+        ("time,val\n0,1\n1,2\n", "header"),
+        ("t,value\n0,1\nx,2\n", "non-numeric"),
+        ("", "empty file"),
+        ("time,val\r\n0,1\r\n", "expected header 't,value', got 'time,val'$"),
+        ("t,value\n0,1\n\n2\n", ":4: expected two comma-separated fields$"),
+        ("t,value\r\n0,1\r\n1,x", ":3: non-numeric row '1,x'$"),
+        ("t,value\r1,2\r2,y\r", ":3: non-numeric row '2,y'$"),
+    ]:
+        path.write_text(text, newline="")
+        with pytest.raises(InputError, match=message):
+            load_timeseries_csv(path)
 
 
 def test_json_roundtrip(tmp_path):

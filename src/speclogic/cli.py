@@ -81,7 +81,7 @@ def _cmd_estimate(args) -> int:
     # the atoms never depend on the rules, so a config need not name any
     cfg = replace(_load_config(args), rules_path=None, rules_text="")
     result = run(_load_signal(args.input), cfg)
-    _emit(result.atoms.to_dict(), args.atoms_out)
+    # the spectrum first, so a range past float64 leaves no atoms behind
     if args.spectrum_out:
         atoms = result.atoms.atoms
         lo, hi, scale = 0.0, 1.0, 1.0
@@ -95,6 +95,7 @@ def _cmd_estimate(args) -> int:
             raise InputError("the spectrum's frequency range overflows float64")
         grid = np.linspace(lo, hi, args.grid_points) * scale
         write_csv(args.spectrum_out, "omega,S", grid, eval_spectrum(result.atoms, grid))
+    _emit(result.atoms.to_dict(), args.atoms_out)
     return 0
 
 

@@ -25,10 +25,10 @@ and forward-chains the configured rules, capturing every intermediate in a
     recurrence stops once every Ritz pair heavy enough to be a non-negligible
     atom has Paige bound at or below eta/10.
 
-Windows of :func:`detect_anomalies` are independent: the matrix pencil fits
-them as stacked batches of at most ``DETECT_CHUNK_ELEMENTS`` Hankel entries,
-and each window's result equals :func:`run` on that window alone, byte for
-byte. Results are ordered by window start.
+Both signal back-ends estimate through one batch step, of which :func:`run`
+is a batch of one; only the matrix pencil stacks a batch into one fit. Each
+window of :func:`detect_anomalies` gives :func:`run`'s result on that window
+alone, byte for byte. Results are ordered by window start.
 """
 
 from __future__ import annotations
@@ -309,48 +309,44 @@ def _signal_modes(poles: PoleSet) -> PoleSet:
         return PoleSet(1.0 / poles.poles, -poles.residues / poles.poles)
 
 
-def _fit_pencil(x, cfg: PipelineConfig):
-    """The configured matrix-pencil fit of one series or a batch of windows."""
-    return fit_matrix_pencil(x, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
+def _pade_z(x: TimeSeries, pade: PadeSettings) -> tuple[SparseSpectrum, dict]:
+    """The ``pade_z`` fit of one series, with the diagnostics only this back-end reports."""
+    scale = unit_scale(x.samples)
+    c = x.samples / scale
+    if pade.auto:
+        sweep = auto_order_sweep(c, pade.n_max, PADE_RESIDUAL_TOL)
+        m, n, rational = sweep.m, sweep.n, sweep.rational
+        diagnostics = {"auto": True, "residual": sweep.residual, "converged": sweep.converged}
+    else:
+        m, n = pade.m, pade.n
+        rational = fit_pade(c, m, n)
+        diagnostics = {"auto": False}
+    poles = extract_poles(rational)
+    diagnostics.update(orders=[m, n], multiple_poles=poles.multiple_poles)
+    return atoms_from_poles(_signal_modes(poles), x.dt, c, scale), diagnostics
 
 
-def _estimate(
-    x: TimeSeries, cfg: PipelineConfig, diagnostics: dict, fit: SparseSpectrum | None
-) -> SparseSpectrum:
+def _estimate(series: list[TimeSeries], cfg: PipelineConfig) -> list[tuple[SparseSpectrum, dict]]:
+    """The configured back-end's spectrum of each preprocessed series, paired
+    with its ``diagnostics["estimate"]`` record.
+
+    The matrix pencil fits equal-length series as one stacked batch, and
+    ``pade_z`` fits them one at a time; either way a series' pair does not
+    depend on the batch it came in.
+    """
     if cfg.backend == "matrix_pencil":
-        sp = _fit_pencil(x, cfg) if fit is None else fit
-        diagnostics["estimate"] = {
-            "backend": "matrix_pencil",
-            "residual_norm": sp.residual_norm,
-            "dropped": sp.dropped,
-        }
-        return sp
-    if cfg.backend == "pade_z":
-        scale = unit_scale(x.samples)
-        c = x.samples / scale
-        if cfg.pade.auto:
-            sweep = auto_order_sweep(c, cfg.pade.n_max, PADE_RESIDUAL_TOL)
-            m, n, rational = sweep.m, sweep.n, sweep.rational
-            order_diag = {"auto": True, "residual": sweep.residual, "converged": sweep.converged}
-        else:
-            m, n = cfg.pade.m, cfg.pade.n
-            rational = fit_pade(c, m, n)
-            order_diag = {"auto": False}
-        poles = extract_poles(rational)
-        sp = atoms_from_poles(_signal_modes(poles), x.dt, c, scale)
-        diagnostics["estimate"] = {
-            "backend": "pade_z",
-            "orders": [m, n],
-            "residual_norm": sp.residual_norm,
-            "dropped": sp.dropped,
-            "multiple_poles": poles.multiple_poles,
-            **order_diag,
-        }
-        return sp
-    raise ConfigError(
-        "the lanczos backend estimates spectra of operators, not time series; "
-        "use run_hermitian"
-    )
+        fits = fit_matrix_pencil(series, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
+        pairs = [(sp, {}) for sp in fits]
+    elif cfg.backend == "pade_z":
+        pairs = [_pade_z(x, cfg.pade) for x in series]
+    else:
+        raise ConfigError(
+            "the lanczos backend estimates spectra of operators, not time series; "
+            "use run_hermitian"
+        )
+    for sp, diagnostics in pairs:
+        diagnostics.update(backend=cfg.backend, residual_norm=sp.residual_norm, dropped=sp.dropped)
+    return pairs
 
 
 def _atoms_from_ritz(
@@ -408,22 +404,23 @@ def _preprocessed(x: TimeSeries, cfg: PipelineConfig) -> TimeSeries:
     return pre
 
 
-def run(x: TimeSeries, cfg: PipelineConfig, fit: SparseSpectrum | None = None) -> RunResult:
+def run(
+    x: TimeSeries, cfg: PipelineConfig, estimate: tuple[SparseSpectrum, dict] | None = None
+) -> RunResult:
     """Execute the full pipeline on a time series.
 
-    With ``fit`` given, ``x`` is a series the caller already preprocessed
-    and ``fit`` its matrix-pencil fit, made in a stacked batch (see
-    :func:`detect_anomalies`); the run then neither preprocesses nor fits
-    ``x``, and gives the result a run on the raw series would.
+    With ``estimate``, the pair the batch estimate step gave for ``x`` (see
+    :func:`detect_anomalies`), the run neither preprocesses nor estimates
+    ``x`` and gives the result a run without it would.
     """
-    if fit is not None and cfg.backend != "matrix_pencil":
-        raise ConfigError(f"a given fit is a matrix-pencil fit, config says {cfg.backend!r}")
     with _stage("rules"):
         ruleset = cfg.load_ruleset()
-    pre = _preprocessed(x, cfg) if fit is None else x
-    diagnostics: dict = {"preprocess": {"samples": len(pre)}}
-    with _stage("estimate"):
-        atoms = _estimate(pre, cfg, diagnostics, fit)
+    if estimate is None:
+        pre = _preprocessed(x, cfg)
+        with _stage("estimate"):
+            (estimate,) = _estimate([pre], cfg)
+    atoms, estimate_diag = estimate
+    diagnostics = {"preprocess": {"samples": len(x)}, "estimate": estimate_diag}
     return _finish(atoms, cfg, ruleset, diagnostics)
 
 
@@ -485,9 +482,11 @@ def detect_anomalies(
     mentions (so never a malformed name), else :class:`InputError`: a
     misspelt head would otherwise read as "no anomaly".
 
-    With the matrix pencil, windows are fitted in chunks as stacked batches
-    whose Hankel stack holds at most ``DETECT_CHUNK_ELEMENTS`` entries (at
-    least one window); each window's result equals :func:`run` on it alone.
+    With either back-end, windows go in chunks whose pencil Hankel stack
+    holds at most ``DETECT_CHUNK_ELEMENTS`` entries (at least one window).
+    A chunk's windows are all preprocessed, then estimated in one batch
+    step, so a preprocess error of a later window raises before an estimate
+    error of an earlier one. Each window's result equals :func:`run` on it.
     """
     n = len(x)
     if not 2 <= window <= n:
@@ -504,15 +503,12 @@ def detect_anomalies(
     flagged = []
     for first in range(0, len(starts), per_chunk):
         chunk = starts[first : first + per_chunk]
-        segments = [TimeSeries(x.samples[start : start + window], x.dt, x.label) for start in chunk]
-        fits = [None] * len(segments)
-        if cfg.backend == "matrix_pencil":
-            # run takes each preprocessed window with its fit and does not preprocess it again
-            segments = [_preprocessed(segment, cfg) for segment in segments]
-            with _stage("estimate"):
-                fits = _fit_pencil(segments, cfg)
-        for start, segment, fit in zip(chunk, segments, fits):
-            result = run(segment, cfg, fit)
+        raw = (TimeSeries(x.samples[start : start + window], x.dt, x.label) for start in chunk)
+        segments = [_preprocessed(segment, cfg) for segment in raw]
+        with _stage("estimate"):
+            estimates = _estimate(segments, cfg)
+        for start, segment, estimate in zip(chunk, segments, estimates):
+            result = run(segment, cfg, estimate)
             if alert_head in result.derived.names:
                 flagged.append((start, result))
     return flagged

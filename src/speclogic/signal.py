@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,19 +130,21 @@ def autocorrelation(x: TimeSeries, max_lag: int) -> TimeSeries:
     return TimeSeries(c, x.dt, x.label)
 
 
-@contextmanager
-def _utf8(path: str | Path):
-    """Turn a ``UnicodeDecodeError`` in the block into an :class:`InputError` naming ``path``."""
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file ``path``; other bytes are an :class:`InputError`."""
     try:
-        yield
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc})") from None
 
 
-def read_text(path: str | Path) -> str:
-    """The UTF-8 text of the file ``path``; other bytes are an :class:`InputError`."""
-    with _utf8(path):
-        return Path(path).read_text(encoding="utf-8")
+def _check_utf8(path: str | Path, i: int, line: str) -> None:
+    """Reject line ``i`` of ``path``, read with ``surrogateescape``, if it holds
+    a byte that is not UTF-8, naming the byte's position in the line."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}:{i}: not UTF-8 text ({exc})") from None
 
 
 def read_json(path: str | Path):
@@ -164,17 +165,22 @@ def load_timeseries_csv(path: str | Path) -> TimeSeries:
     Spacing is validated to relative tolerance 1e-6; non-uniform input, and
     times or steps that are not finite floats, are rejected with a
     descriptive error. Rows are read one line of the open file at a time
-    into two float64 columns, so no more text is held than one row's.
+    into two float64 columns, so no more text is held than one row's. The
+    text layer decodes ahead of the row being read, so bytes that are not
+    UTF-8 decode to surrogates and are rejected when their line is reached.
     """
     t, v = array("d"), array("d")
-    with _utf8(path), open(path, encoding="utf-8") as lines:
+    with open(path, encoding="utf-8", errors="surrogateescape") as lines:
         header = next(lines, None)
         if header is None:
             raise InputError(f"{path}: empty file")
+        _check_utf8(path, 1, header)
         header = header.rstrip("\n")
         if [h.strip().lower() for h in header.split(",")][:2] != ["t", "value"]:
             raise InputError(f"{path}: expected header 't,value', got {header!r}")
         for i, line in enumerate(lines, start=2):
+            if not line.isascii():
+                _check_utf8(path, i, line)
             if not line.strip():
                 continue
             parts = line.split(",")

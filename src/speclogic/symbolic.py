@@ -13,7 +13,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InputError
 from .sparse import SparseSpectrum
@@ -113,17 +113,9 @@ class SymbolSet:
     def __len__(self) -> int:
         return len(self.predicates)
 
-    def __iter__(self) -> Iterator[Predicate]:
-        def key(p: Predicate):
-            return (p.name, -1 if p.source_atom is None else p.source_atom)
-
-        return iter(sorted(self.predicates, key=key))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.names
-
     def union_names(self, names: Iterable[str]) -> "SymbolSet":
-        extra = frozenset(Predicate(n) for n in names if n not in self.names)
+        known = self.names
+        extra = frozenset(Predicate(n) for n in names if n not in known)
         return SymbolSet(self.predicates | extra)
 
     def to_json(self) -> list[str]:

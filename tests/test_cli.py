@@ -349,6 +349,20 @@ def test_malformed_input_file_exits_2(workdir, capsys, name, content, command):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("atoms_out", [True, False], ids=["atoms_file", "stdout"])
+def test_estimate_spectrum_range_error_writes_no_atoms(tmp_path, capsys, atoms_out):
+    # the mode z = -0.5 at dt = 2e-308 puts the spectrum's range past float64,
+    # which the command finds only after the fit
+    signal = tmp_path / "alternating.json"
+    signal.write_text(json.dumps({"dt": 2e-308, "samples": [(-0.5) ** i for i in range(64)]}))
+    atoms, spectrum = tmp_path / "a.json", tmp_path / "s.csv"
+    argv = ["estimate", "--input", str(signal), "--spectrum-out", str(spectrum)]
+    assert main(argv + ["--atoms-out", str(atoms)] * atoms_out) == 2
+    out, err = capsys.readouterr()
+    assert "frequency range overflows float64" in err
+    assert out == "" and not atoms.exists() and not spectrum.exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 

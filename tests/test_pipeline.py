@@ -385,12 +385,24 @@ def test_batched_pencil_equals_each_window_alone(seed):
     cfg = dataclasses.replace(shift_config(), seed=seed)
     for x in detect_streams(seed):
         _, segments = windows_of(x, 128, 16)
-        batch = fit_matrix_pencil(segments, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
-        assert len(batch) == len(segments)
-        for segment, fit in zip(segments, batch):
+        estimates = pipeline._estimate(segments, cfg)
+        assert len(estimates) == len(segments)
+        for segment, (fit, diagnostics) in zip(segments, estimates):
             alone = fit_matrix_pencil(segment, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
             assert spectrum_record(fit) == spectrum_record(alone)
-            assert run(segment, cfg, fit).to_json() == run(segment, cfg).to_json()
+            assert run(segment, cfg, (fit, diagnostics)).to_json() == run(segment, cfg).to_json()
+
+
+@pytest.mark.parametrize("pade", [PadeSettings(), PadeSettings(auto=True)], ids=["fixed", "auto"])
+def test_batched_pade_z_equals_each_window_alone(pade):
+    cfg = dataclasses.replace(shift_config(), backend="pade_z", pade=pade)
+    for seed in range(2):
+        for x in detect_streams(seed):
+            _, segments = windows_of(x, 128, 16)
+            estimates = pipeline._estimate(segments, cfg)
+            assert len(estimates) == len(segments)
+            for segment, estimate in zip(segments, estimates):
+                assert run(segment, cfg, estimate).to_json() == run(segment, cfg).to_json()
 
 
 def test_one_batch_of_orders_0_2_and_6_equals_each_window_alone():
@@ -477,23 +489,22 @@ def test_detect_preprocesses_each_window_once(monkeypatch, backend):
     assert backend == "pade_z" or expected
 
 
-def test_run_rejects_a_fit_for_another_backend():
-    x = damped_cosine(2.6, 0.15)
-    fit = fit_matrix_pencil(x, 4)
-    cfg = PipelineConfig(binning=wide_open_bins(), backend="pade_z", rules_text="a => b\n")
-    with pytest.raises(ConfigError, match="matrix-pencil"):
-        run(x, cfg, fit)
-
-
-def test_detect_errors_stay_typed():
-    cfg = shift_config()
+@pytest.mark.parametrize("backend", ["matrix_pencil", "pade_z"])
+def test_detect_overflowing_window_is_a_preprocess_error(backend):
+    cfg = dataclasses.replace(shift_config(), backend=backend)
     x = detect_streams(0)[0].samples.copy()
     x[300:302] = 1.5e308  # finite samples, but a window holding both has no finite 2-norm
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError) as err:
             detect_anomalies(TimeSeries(x, 0.05), cfg, 128, 16, "anomaly")
-        assert err.value.stage == "preprocess"
+    assert err.value.stage == "preprocess"
+
+
+def test_detect_errors_stay_typed():
+    cfg = shift_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         short = 2 * (2 * cfg.sparse.k_max) + 1  # one sample short of 2 * k_max pencil modes
         with pytest.raises(InputError) as err:
             detect_anomalies(detect_streams(0)[0], cfg, short, 16, "anomaly")

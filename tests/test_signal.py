@@ -170,6 +170,23 @@ def test_csv_rejects_bad_header_and_rows(tmp_path):
             load_timeseries_csv(path)
 
 
+def test_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # the text layer decodes 8 KiB blocks ahead of the row being read, so line
+    # 909 of 4000 lies deep inside a block that is decoded before its rows are
+    path = tmp_path / "bad.csv"
+    save_timeseries_csv(TimeSeries(np.cos(0.1 * np.arange(4000)), 0.5), path)
+    rows = path.read_bytes().split(b"\n")
+    rows[908] = rows[908][:5] + b"\xff" + rows[908][5:]
+    for content, line, position in [
+        (b"\n".join(rows), 909, 5),
+        (b"t,va\xc3lue\r\n0,1\r\n1,2\r\n", 1, 4),
+        (b"t,value\r0,1\r1,2\xe2\x82\r", 3, "3-4"),
+    ]:
+        path.write_bytes(content)
+        with pytest.raises(InputError, match=f":{line}: not UTF-8 text .* in position {position}:"):
+            load_timeseries_csv(path)
+
+
 def test_json_roundtrip(tmp_path):
     path = tmp_path / "sig.json"
     path.write_text('{"dt": 0.25, "samples": [1.0, 2.0, 3.0], "label": "probe"}')

@@ -12,7 +12,9 @@ input/configuration errors, 3 on numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -75,27 +77,45 @@ def _emit(payload, out: str | None) -> None:
     _write(json.dumps(payload, indent=2, sort_keys=True), out)
 
 
+@contextlib.contextmanager
+def _staged(*paths: str | None):
+    """Temporary names beside the output ``paths`` (a None, for stdout, stays
+    None), renamed onto them once the block has written them all and removed
+    when it fails: an error on any path leaves no output file behind."""
+    temps = [path and f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            if temp:
+                os.replace(temp, path)
+    finally:
+        for temp in temps:
+            if temp:
+                Path(temp).unlink(missing_ok=True)
+
+
 def _cmd_estimate(args) -> int:
     if not 2 <= args.grid_points <= MAX_POINTS:
         raise InputError(f"--grid-points must lie in [2, {MAX_POINTS}], got {args.grid_points}")
     # the atoms never depend on the rules, so a config need not name any
     cfg = replace(_load_config(args), rules_path=None, rules_text="")
     result = run(_load_signal(args.input), cfg)
-    # the spectrum first, so a range past float64 leaves no atoms behind
-    if args.spectrum_out:
-        atoms = result.atoms.atoms
-        lo, hi, scale = 0.0, 1.0, 1.0
-        if atoms:
-            # the range at unit scale, so no bound overflows at any dt; the division is exact
-            scale = unit_scale(np.array([(a.omega, a.gamma) for a in atoms]))
-            pad = 10 * max(a.gamma / scale for a in atoms)
-            lo = min(a.omega / scale for a in atoms) - pad
-            hi = max(a.omega / scale for a in atoms) + pad
-        if np.isinf(max(-lo, hi) * scale):
-            raise InputError("the spectrum's frequency range overflows float64")
-        grid = np.linspace(lo, hi, args.grid_points) * scale
-        write_csv(args.spectrum_out, "omega,S", grid, eval_spectrum(result.atoms, grid))
-    _emit(result.atoms.to_dict(), args.atoms_out)
+    with _staged(args.spectrum_out, args.atoms_out) as (spectrum_out, atoms_out):
+        # the spectrum first, so a range past float64 prints no atoms
+        if spectrum_out:
+            atoms = result.atoms.atoms
+            lo, hi, scale = 0.0, 1.0, 1.0
+            if atoms:
+                # the range at unit scale, so no bound overflows at any dt; the division is exact
+                scale = unit_scale(np.array([(a.omega, a.gamma) for a in atoms]))
+                pad = 10 * max(a.gamma / scale for a in atoms)
+                lo = min(a.omega / scale for a in atoms) - pad
+                hi = max(a.omega / scale for a in atoms) + pad
+            if np.isinf(max(-lo, hi) * scale):
+                raise InputError("the spectrum's frequency range overflows float64")
+            grid = np.linspace(lo, hi, args.grid_points) * scale
+            write_csv(spectrum_out, "omega,S", grid, eval_spectrum(result.atoms, grid))
+        _emit(result.atoms.to_dict(), atoms_out)
     return 0
 
 

@@ -23,14 +23,17 @@ full solve at every check, with the same Ritz spectrum.
 Every step applies full reorthogonalization against the Krylov basis:
 floating-point Lanczos otherwise loses orthogonality quickly and returns
 ghost copies of converged Ritz values, which would read as extra
-resonances. The basis is returned with the tridiagonal; its buffer grows
-by doubling, so it holds fewer than twice the columns run. Breakdown (a
-vanishing recurrence residual) means an exact invariant subspace was found
-and is reported as a success, not an error. Every norm in the recurrence
-is BLAS nrm2, which scales as it sums, so neither a 1e300 nor a 1e-300
-operator or start vector overflows or vanishes. scipy, which supplies nrm2
-and the tridiagonal eigensolvers, is imported on the first call that needs
-it, not with this module.
+resonances. The basis is returned with the tridiagonal. Its buffer holds
+one Krylov vector per contiguous row, so the reorthogonalization reads
+memory in order, and grows by doubling, so it holds fewer than twice the
+vectors run. Breakdown (a vanishing recurrence residual) means an exact
+invariant subspace was found and is reported as a success, not an error.
+Every norm in the recurrence is BLAS nrm2, which scales as it sums, so
+neither a 1e300 nor a 1e-300 operator or start vector overflows or
+vanishes. A dense operator is applied by BLAS symv, which reads one
+triangle of the matrix and so moves half the memory of a full product.
+scipy, which supplies nrm2, symv and the tridiagonal eigensolvers, is
+imported on the first call that needs it, not with this module.
 """
 
 from __future__ import annotations
@@ -86,14 +89,23 @@ class HermitianOp:
         self._matvec = matvec
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(self._matvec(v), dtype=float)
+        w = np.asarray(self._matvec(v), dtype=float)
+        if w.shape != (self.dim,):
+            raise InputError(f"matvec returned shape {w.shape}, expected ({self.dim},)")
+        return w
 
     @classmethod
     def from_dense(cls, matrix) -> "HermitianOp":
-        """Wrap a dense symmetric matrix, verifying symmetry on construction."""
+        """Wrap a dense symmetric matrix, verifying symmetry on construction.
+
+        The operator is the symmetric matrix whose lower triangle (on and
+        below the diagonal) is that of ``matrix``: BLAS symv reads only that
+        triangle, half the memory of a full product, and the other one
+        agrees with it to the symmetry tolerance.
+        """
         h = np.asarray(matrix, dtype=float)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise InputError(f"expected a square matrix, got shape {h.shape}")
+        if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
+            raise InputError(f"expected a nonempty square matrix, got shape {h.shape}")
         if not np.all(np.isfinite(h)):
             raise InputError("matrix entries must be finite")
         # the exact division by a power of two keeps h - h.T from overflowing
@@ -101,7 +113,11 @@ class HermitianOp:
         scale = float(np.max(np.abs(unit)))
         if scale > 0 and float(np.max(np.abs(unit - unit.T))) > SYMMETRY_RTOL * scale:
             raise InputError("matrix is not symmetric to relative tolerance 1e-12")
-        return cls(h.shape[0], lambda v: h @ v)
+        # symv's upper triangle of h.T is h's lower one; f2py would copy an
+        # array not in Fortran order on every call, and h.T of a C-ordered h
+        # is one without a copy
+        a = np.asfortranarray(h.T)
+        return cls(h.shape[0], lambda v: _blas("symv")(1.0, a, v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,16 +190,17 @@ class RitzSpectrum:
 
 
 @functools.cache
-def _blas_nrm2():
-    """The routine scipy.linalg.norm calls on a 1-d float64 array, bound on first use."""
+def _blas(name: str):
+    """The float64 BLAS routine ``name`` as scipy.linalg binds it (nrm2 is
+    the one scipy.linalg.norm calls on a 1-d array), bound on first use."""
     import scipy.linalg
 
-    return scipy.linalg.get_blas_funcs("nrm2", dtype=np.float64, ilp64="preferred")
+    return scipy.linalg.get_blas_funcs(name, dtype=np.float64, ilp64="preferred")
 
 
 def _nrm2(v: np.ndarray) -> float:
     """2-norm by BLAS nrm2, which scales as it sums: no overflow or underflow."""
-    return float(_blas_nrm2()(v))
+    return float(_blas("nrm2")(v))
 
 
 def _ritz_pairs(alpha: np.ndarray, beta: np.ndarray, residual: float):
@@ -298,8 +315,9 @@ def lanczos_tridiag(
     # dividing by the peak first keeps a subnormal q1's precision
     q = q / peak
     q = q / _nrm2(q)
-    basis = np.empty((op.dim, min(k, 2 * CHECK_EVERY)))
-    basis[:, 0] = q
+    # one Krylov vector per row, so reorthogonalizing reads contiguous memory
+    basis = np.empty((min(k, 2 * CHECK_EVERY), op.dim))
+    basis[0] = q
 
     alphas: list[float] = []
     betas: list[float] = []
@@ -321,9 +339,11 @@ def lanczos_tridiag(
         alphas.append(alpha)
         if j == op.dim - 1:
             break  # the Krylov space is the whole space: the residual is 0
+        # a new array: op.apply's result may be memory the matvec keeps
         w = w - alpha * q - beta_prev * q_prev
         if j > 0:
-            w -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ w)
+            rows = basis[: j + 1]
+            w -= (rows @ w) @ rows
         beta = _nrm2(w)
         if not math.isfinite(beta):
             raise NumericError(_OVERFLOW)
@@ -342,12 +362,12 @@ def lanczos_tridiag(
         q_prev = q
         q = w / beta
         beta_prev = beta
-        if j + 1 == basis.shape[1]:
+        if j + 1 == basis.shape[0]:
             # grow by doubling: the buffer stays under twice the steps run
-            grown = np.empty((op.dim, min(k, 2 * basis.shape[1])))
-            grown[:, : j + 1] = basis
+            grown = np.empty((min(k, 2 * basis.shape[0]), op.dim))
+            grown[: j + 1] = basis
             basis = grown
-        basis[:, j + 1] = q
+        basis[j + 1] = q
 
     achieved = len(alphas)
     result = TridiagResult(
@@ -355,7 +375,7 @@ def lanczos_tridiag(
         np.array(betas),
         achieved,
         breakdown,
-        basis[:, :achieved],
+        basis[:achieved].T,
         residual,
     )
     object.__setattr__(result, "_ritz", ritz)

@@ -363,6 +363,19 @@ def test_estimate_spectrum_range_error_writes_no_atoms(tmp_path, capsys, atoms_o
     assert out == "" and not atoms.exists() and not spectrum.exists()
 
 
+@pytest.mark.parametrize("missing", ["spectrum", "atoms"])
+def test_estimate_unwritable_output_leaves_neither_file(workdir, capsys, missing):
+    # each output path in turn lies in a directory that does not exist
+    paths = {"spectrum": workdir / "s.csv", "atoms": workdir / "a.json"}
+    paths[missing] = workdir / "nodir" / paths[missing].name
+    assert main(["estimate", "--input", str(workdir / "sig.csv"),
+                 "--spectrum-out", str(paths["spectrum"]), "--atoms-out", str(paths["atoms"])]) == 2
+    out, err = capsys.readouterr()
+    assert "error:" in err and "nodir" in err and "Traceback" not in err
+    # neither output, nor a temporary file, is left
+    assert out == "" and [p.name for p in workdir.iterdir()] == ["sig.csv"]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 

@@ -33,6 +33,33 @@ def test_from_dense_rejects_asymmetric():
         HermitianOp.from_dense([[1.0, 2.0, 3.0]])
 
 
+def test_from_dense_rejects_an_empty_matrix():
+    with pytest.raises(InputError, match="nonempty square matrix"):
+        HermitianOp.from_dense(np.zeros((0, 0)))
+
+
+def _memory_orders(h):
+    """``h`` in C order, in Fortran order, and as a strided view."""
+    padded = np.zeros((2 * h.shape[0], 3 * h.shape[1]))
+    padded[::2, ::3] = h
+    return [h.copy(), np.asfortranarray(h), padded[::2, ::3]]
+
+
+def test_from_dense_applies_the_lower_triangle_in_any_memory_order():
+    rng = np.random.default_rng(59)
+    h = random_symmetric(rng, 40)
+    v = rng.standard_normal(40)
+    ref = h @ v
+    # strictly above the diagonal, at 1e-13 relative: inside the symmetry tolerance
+    skewed = h + np.triu(rng.uniform(-1.0, 1.0, h.shape), 1) * 1e-13 * np.max(np.abs(h))
+    upper = np.triu(skewed) + np.triu(skewed, 1).T
+    assert np.linalg.norm(upper @ v - ref) > 1e-13 * np.linalg.norm(ref)
+    for matrix in _memory_orders(h) + _memory_orders(skewed):
+        w = HermitianOp.from_dense(matrix).apply(v)
+        # the skewed matrix's lower triangle is h's
+        assert np.linalg.norm(w - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
 def test_diagonal_three_by_three():
     spec = ritz_of(np.diag([1.0, 2.0, 3.0]), np.ones(3) / np.sqrt(3), 3)
     assert np.allclose(spec.lambdas, [1.0, 2.0, 3.0], atol=1e-10)
@@ -150,6 +177,45 @@ def test_operator_from_matvec_callable():
     op = HermitianOp(5, lambda v: scale * v)
     spec = tridiag_eigen(lanczos_tridiag(op, np.ones(5), 5))
     assert np.allclose(spec.lambdas, scale, atol=1e-10)
+
+
+def test_matvec_result_is_never_written_to():
+    # a matvec may return its argument or a buffer it keeps; each check
+    # below fails if the recurrence writes into what the matvec returned
+    calls = []
+
+    def itself(v):
+        calls.append((v, v.copy()))
+        return v
+
+    q1 = np.arange(1.0, 7.0)
+    t = lanczos_tridiag(HermitianOp(6, itself), q1, 6)
+    ref = lanczos_tridiag(HermitianOp.from_dense(np.eye(6)), q1, 6)
+    assert (t.k, t.breakdown) == (ref.k, ref.breakdown) == (1, True)
+    assert np.array_equal(t.alpha, ref.alpha)
+    assert all(np.array_equal(v, kept) for v, kept in calls)
+
+    d = np.array([0.5, 5.0, -1.0, 2.0, 3.5, -2.5])
+    buffer = np.empty(6)
+    returned = []
+
+    def reused(v):
+        assert not returned or np.array_equal(buffer, returned[-1])
+        np.multiply(d, v, out=buffer)
+        returned.append(buffer.copy())
+        return buffer
+
+    t = lanczos_tridiag(HermitianOp(6, reused), q1, 6)
+    ref = lanczos_tridiag(HermitianOp.from_dense(np.diag(d)), q1, 6)
+    assert (t.k, t.breakdown) == (ref.k, ref.breakdown) == (6, False)
+    assert np.array_equal(t.alpha, ref.alpha) and np.array_equal(t.beta, ref.beta)
+
+
+@pytest.mark.parametrize("matvec", [lambda v: np.ones(3), lambda v: v[:, None]],
+                         ids=["short", "column"])
+def test_matvec_of_the_wrong_shape_is_an_input_error(matvec):
+    with pytest.raises(InputError, match=r"expected \(4,\)"):
+        lanczos_tridiag(HermitianOp(4, matvec), np.ones(4), 4)
 
 
 @pytest.mark.parametrize(

@@ -78,20 +78,25 @@ def _emit(payload, out: str | None) -> None:
 
 
 @contextlib.contextmanager
-def _staged(*paths: str | None):
-    """Temporary names beside the output ``paths`` (a None, for stdout, stays
-    None), renamed onto them once the block has written them all and removed
-    when it fails: an error on any path leaves no output file behind."""
-    temps = [path and f"{path}.{os.getpid()}.tmp" for path in paths]
+def _claimed(*paths: str | None):
+    """Open each output path (a None, for stdout, is skipped) for appending,
+    which changes no existing file, before the block writes any, and remove
+    the files this made when the block fails: a path that cannot be written
+    leaves no new output file behind. The block writes through the paths
+    themselves, so a symlink, a device or an existing file's mode is kept."""
+    made = []
     try:
-        yield temps
-        for temp, path in zip(temps, paths):
-            if temp:
-                os.replace(temp, path)
-    finally:
-        for temp in temps:
-            if temp:
-                Path(temp).unlink(missing_ok=True)
+        for path in paths:
+            if path:
+                existed = os.path.lexists(path)
+                open(path, "a").close()
+                if not existed:
+                    made.append(path)
+        yield
+    except BaseException:
+        for path in made:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _cmd_estimate(args) -> int:
@@ -100,7 +105,8 @@ def _cmd_estimate(args) -> int:
     # the atoms never depend on the rules, so a config need not name any
     cfg = replace(_load_config(args), rules_path=None, rules_text="")
     result = run(_load_signal(args.input), cfg)
-    with _staged(args.spectrum_out, args.atoms_out) as (spectrum_out, atoms_out):
+    spectrum_out, atoms_out = args.spectrum_out, args.atoms_out
+    with _claimed(spectrum_out, atoms_out):
         # the spectrum first, so a range past float64 prints no atoms
         if spectrum_out:
             atoms = result.atoms.atoms

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -363,17 +365,39 @@ def test_estimate_spectrum_range_error_writes_no_atoms(tmp_path, capsys, atoms_o
     assert out == "" and not atoms.exists() and not spectrum.exists()
 
 
-@pytest.mark.parametrize("missing", ["spectrum", "atoms"])
-def test_estimate_unwritable_output_leaves_neither_file(workdir, capsys, missing):
-    # each output path in turn lies in a directory that does not exist
+@pytest.mark.parametrize("bad", ["spectrum", "atoms", "atoms_directory"])
+def test_estimate_unwritable_output_leaves_neither_file(workdir, capsys, bad):
+    # each output path in turn lies in a directory that does not exist, or
+    # the atoms path is a directory
     paths = {"spectrum": workdir / "s.csv", "atoms": workdir / "a.json"}
-    paths[missing] = workdir / "nodir" / paths[missing].name
+    if bad == "atoms_directory":
+        paths["atoms"].mkdir()
+    else:
+        paths[bad] = workdir / "nodir" / paths[bad].name
+    before = sorted(p.name for p in workdir.iterdir())
     assert main(["estimate", "--input", str(workdir / "sig.csv"),
                  "--spectrum-out", str(paths["spectrum"]), "--atoms-out", str(paths["atoms"])]) == 2
     out, err = capsys.readouterr()
-    assert "error:" in err and "nodir" in err and "Traceback" not in err
-    # neither output, nor a temporary file, is left
-    assert out == "" and [p.name for p in workdir.iterdir()] == ["sig.csv"]
+    assert "error:" in err and "Traceback" not in err
+    # the message names the path given
+    assert str(paths["atoms" if bad == "atoms_directory" else bad]) in err
+    # no output file is left
+    assert out == "" and sorted(p.name for p in workdir.iterdir()) == before
+
+
+def test_estimate_writes_through_a_symlink_and_a_device(workdir, capsys):
+    target, link = workdir / "target.json", workdir / "link.json"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to(target.name)
+    assert main(["estimate", "--input", str(workdir / "sig.csv"),
+                 "--spectrum-out", os.devnull, "--atoms-out", str(link)]) == 0
+    # the link stays a link, and the file it names holds the atoms with its mode kept
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert json.loads(target.read_text())["atoms"]
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert capsys.readouterr().out == ""
 
 
 def _reject_constant(name):

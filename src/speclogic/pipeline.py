@@ -37,7 +37,6 @@ import json
 import math
 import types
 import typing
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import NamedTuple
 
@@ -372,15 +371,25 @@ def _atoms_from_ritz(
     return SparseSpectrum.from_atoms(atoms, residual), bound
 
 
-@contextmanager
-def _stage(name: str):
-    """Tag a library error escaping the block with the stage that raised it."""
-    try:
-        yield
-    except SpecLogicError as exc:
-        if exc.stage is None:
-            exc.stage = name
-        raise
+class _stage:
+    """Tag a library error escaping the block with the stage that raised it.
+
+    A class, not a generator context manager: ``detect_anomalies`` enters a
+    stage about four times per window.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> bool:
+        if isinstance(exc, SpecLogicError) and exc.stage is None:
+            exc.stage = self.name
+        return False  # the exception, if any, propagates unchanged
 
 
 def _finish(

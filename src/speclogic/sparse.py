@@ -8,7 +8,7 @@ so each atom peaks at exactly ``amp`` at its center and reaches half
 maximum at omega +- gamma. Atom parameters are estimated two ways:
 directly from discrete-time poles (:func:`atoms_from_poles`), or from raw
 time samples via a Hankel matrix pencil (:func:`fit_matrix_pencil`), which
-maps its modes through :func:`atoms_from_poles` too.
+maps its modes by the same keep rule.
 
 Pole mapping convention: a discrete-time mode c * z^n with z = exp((-gamma
 + i*omega)*dt) maps to omega = arg(z)/dt, gamma = -ln|z|/dt and amp =
@@ -19,6 +19,7 @@ the per-mode coefficients c, not transfer-function residues.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,6 +54,11 @@ SKETCH_OVERSAMPLE = 5
 
 #: Power iterations of the pencil's randomized range finder.
 POWER_ITERATIONS = 2
+
+#: Gaussian test matrices of at most this many floats are drawn once per
+#: key and kept (see :func:`_test_matrix`); larger ones, which only long
+#: series use, are drawn on each fit.
+MAX_CACHED_TEST_ENTRIES = 2**16
 
 #: Poles with modulus at or above this become no atom: they grow, or decay by
 #: under 1e-6 per sample, 200x below the weakest benchmark damping (gamma*dt =
@@ -179,40 +185,76 @@ def _pole_atom(
     return math.atan2(z.imag, z.real) / dt, gamma, amp
 
 
-def atoms_from_poles(
-    modes: PoleSet, dt: float, samples: np.ndarray | None = None, scale: float = 1.0
-) -> SparseSpectrum:
-    """Map discrete-time modes c_k * z_k^n to Lorentzian atoms, applying the
-    keep rule of :func:`_pole_atom` once per mode.
+def _keep_rule(
+    poles: np.ndarray, residues: np.ndarray, dt: float, scale: float
+) -> tuple[list[LorentzianAtom], np.ndarray, int]:
+    """The keep rule over the unit-scale modes c_k * z_k^n: the atoms, the
+    mask of kept modes, and the drop count.
 
-    ``modes`` and ``samples`` are the input divided by ``scale`` (see
-    :func:`unit_scale`); amplitudes and the residual come back at input
-    scale. A kept mode with Im z >= 0 becomes an atom; its conjugate partner
-    of a real signal collapses onto it. Each mode with Im z >= 0 that becomes
-    no atom counts in ``dropped``. Given the ``samples``, ``residual_norm``
-    is scale * ||samples - sum of kept modes (with partners)||: the input's
-    norm when every mode is dropped, 0 without samples, and a
-    :class:`NumericError` when it overflows float64.
-
-    A mode whose amplitude overflows only at input scale fails the whole
-    fit: the other modes were fitted alongside it and do not explain the
-    input without it. Then every mode is dropped.
+    :func:`_pole_atom` judges each mode once. A kept mode with Im z >= 0
+    becomes an atom; its conjugate partner of a real signal makes no atom of
+    its own, but is a kept mode or not by its own judgement. Each mode with
+    Im z >= 0 that becomes no atom counts as dropped. A mode whose amplitude
+    overflows only at input scale fails the whole fit: the other modes were
+    fitted alongside it and do not explain the input without it. Then every
+    mode is dropped.
     """
-    if not dt > 0:
-        raise InputError(f"dt must be positive, got {dt}")
-    params = [_pole_atom(z, res, dt, scale) for z, res in zip(modes.poles, modes.residues)]
+    params = [_pole_atom(z, res, dt, scale) for z, res in zip(poles, residues)]
     if any(p is not None and math.isinf(p[2]) for p in params):
         params = [None] * len(params)
     kept = np.array([p is not None for p in params], dtype=bool)
-    partner = modes.poles.imag < 0  # represented by its Im z > 0 twin
+    partner = poles.imag < 0  # represented by its Im z > 0 twin
     atoms = [LorentzianAtom(*p) for p, twin in zip(params, partner) if p is not None and not twin]
+    return atoms, kept, int(np.count_nonzero(~partner & ~kept))
+
+
+def _residual_norm(diff: np.ndarray, scale: float) -> float:
+    """``scale * ||diff||``, the residual at input scale of a unit-scale
+    difference, or a :class:`NumericError` when it overflows float64."""
+    residual = norm2(diff) * scale  # Python floats: an overflow gives inf
+    if not math.isfinite(residual):
+        raise NumericError("the fit residual overflows float64 at the input's scale")
+    return residual
+
+
+def atoms_from_poles(
+    modes: PoleSet, dt: float, samples: np.ndarray | None = None, scale: float = 1.0
+) -> SparseSpectrum:
+    """Map discrete-time modes c_k * z_k^n to Lorentzian atoms by the keep
+    rule of :func:`_keep_rule`, which :func:`fit_matrix_pencil` shares.
+
+    ``modes`` and ``samples`` are the input divided by ``scale`` (see
+    :func:`unit_scale`); amplitudes and the residual come back at input
+    scale. Given the ``samples``, ``residual_norm`` is scale * ||samples -
+    sum of kept modes (with partners)||: the input's norm when every mode is
+    dropped, 0 without samples, and a :class:`NumericError` when it
+    overflows float64.
+    """
+    if not dt > 0:
+        raise InputError(f"dt must be positive, got {dt}")
+    atoms, kept, dropped = _keep_rule(modes.poles, modes.residues, dt, scale)
     residual = 0.0
     if samples is not None:
         model = np.vander(modes.poles[kept], samples.size, increasing=True).T @ modes.residues[kept]
-        residual = norm2(samples - model) * scale  # Python floats: an overflow gives inf
-        if not math.isfinite(residual):
-            raise NumericError("the fit residual overflows float64 at the input's scale")
-    return SparseSpectrum.from_atoms(atoms, residual, int(np.count_nonzero(~partner & ~kept)))
+        residual = _residual_norm(samples - model, scale)
+    return SparseSpectrum.from_atoms(atoms, residual, dropped)
+
+
+@functools.lru_cache(maxsize=8)
+def _test_matrix(rows: int, width: int, seed: int) -> np.ndarray:
+    """The range finder's Gaussian test matrix (rows, width), drawn from
+    ``seed``; read-only, since the cache hands one array to every fit with
+    its key.
+
+    The cache holds at most 8 matrices, and :func:`_leading_svd` bypasses it
+    for one of more than MAX_CACHED_TEST_ENTRIES floats, so it holds at most
+    4 MiB at any length. At MAX_PENCIL_SAMPLES a test matrix has 16385 rows:
+    it is cached only up to width 3 (384 KiB), and a wider one is drawn on
+    each fit, a few ms of a fit that takes seconds.
+    """
+    test = np.random.default_rng(seed).standard_normal((rows, width))
+    test.flags.writeable = False
+    return test
 
 
 def _leading_svd(hank: np.ndarray, width: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,22 +263,27 @@ def _leading_svd(hank: np.ndarray, width: int, seed: int) -> tuple[np.ndarray, n
     power iterations (Halko, Martinsson & Tropp, SIAM Rev. 2011, Alg. 4.4).
 
     Every matrix of the stack meets the same Gaussian test matrix, drawn
-    from ``seed``; the pencil sizes it ``max_modes + SKETCH_OVERSAMPLE``
-    columns wide. Every product with a matrix or its transpose is
-    re-orthonormalized, so singular values far below sigma_1 survive the
-    power iterations. When ``width`` reaches ``min(m, k)`` the sketch spans
-    the whole range and the result is the exact thin SVD. The stacked numpy
-    calls run the 2-d routine on each matrix, so each result equals that of
-    the matrix alone, bit for bit.
+    from ``seed`` (see :func:`_test_matrix`); the pencil sizes it
+    ``max_modes + SKETCH_OVERSAMPLE`` columns wide. Every product with a
+    matrix or its transpose is re-orthonormalized, so singular values far
+    below sigma_1 survive the power iterations. The last SVD is of the tall
+    product H^T Q (k x width), the transpose of Q^T H: its left singular
+    vectors are the right singular vectors of H within the sketched range,
+    and it costs less than the SVD of the wide Q^T H. When ``width`` reaches
+    ``min(m, k)`` the sketch spans the whole range and the result is the
+    exact thin SVD. The stacked numpy calls run the 2-d routine on each
+    matrix, so each result equals that of the matrix alone, bit for bit.
     """
-    test = np.random.default_rng(seed).standard_normal((hank.shape[2], width))
+    rows = hank.shape[2]
+    draw = _test_matrix if rows * width <= MAX_CACHED_TEST_ENTRIES else _test_matrix.__wrapped__
+    test = draw(rows, width, seed)
     hank_t = np.swapaxes(hank, 1, 2)
     q, _ = np.linalg.qr(hank @ test)
     for _ in range(POWER_ITERATIONS):
         q, _ = np.linalg.qr(hank_t @ q)
         q, _ = np.linalg.qr(hank @ q)
-    _, sv, vh = np.linalg.svd(np.swapaxes(q, 1, 2) @ hank, full_matrices=False)
-    return sv, vh
+    u, sv, _ = np.linalg.svd(hank_t @ q, full_matrices=False)
+    return sv, np.swapaxes(u, 1, 2)
 
 
 def fit_matrix_pencil(
@@ -259,19 +306,23 @@ def fit_matrix_pencil(
     from ``seed``, so equal seeds give identical output. The model order is
     the number of those singular values with sigma_i/sigma_1 > ``sv_tol``,
     capped at ``max_modes``. Amplitudes come from the least-squares
-    Vandermonde solve, and :func:`atoms_from_poles` maps the modes to atoms
-    and gives the residual over the kept ones.
+    Vandermonde solve, and :func:`_keep_rule`, the keep rule of
+    :func:`atoms_from_poles`, maps the modes to atoms.
 
     The windows of a batch are grouped by model order, and each group makes
     one stacked call per step: the shift matrix and the Vandermonde
     coefficients are minimum-norm least-squares solves by ``np.linalg.pinv``
     with the cutoff ``lstsq(rcond=None)`` uses, and the poles come from one
-    ``np.linalg.eigvals``. Each stacked call runs the 2-d routine on each
-    matrix, so a window's result is the same in any group.
+    ``np.linalg.eigvals``. The residuals come from the group's Vandermonde
+    stack too: one stacked product with the coefficients, those of the
+    modes the keep rule drops set to 0, gives each window's sum of kept
+    modes. Each stacked call runs the 2-d routine on each matrix, so a
+    window's result is the same in any group.
 
     The samples are divided by :func:`unit_scale` before any product is
-    formed, so the fit is scale invariant; :func:`atoms_from_poles` reports
-    amplitudes and the residual norm at the input's scale.
+    formed, so the fit is scale invariant; amplitudes and the residual norm
+    are reported at the input's scale, as :func:`atoms_from_poles` reports
+    them.
     """
     single = isinstance(x, TimeSeries)
     windows = [x] if single else list(x)
@@ -290,17 +341,21 @@ def fit_matrix_pencil(
         raise InputError(
             f"need at least {2 * max_modes + 2} samples for {max_modes} modes, got {n}"
         )
-    scales = [unit_scale(w.samples) for w in windows]
-    s = np.array([w.samples / scale for w, scale in zip(windows, scales)])
+    # each window over its unit_scale, bit for bit, in one pass
+    s = np.array([w.samples for w in windows])
+    peak = np.max(np.abs(s), axis=1)
+    scales = np.where(peak > 0, np.ldexp(1.0, np.frexp(peak)[1] - 1), 1.0)
+    np.divide(s, scales[:, None], out=s)
+    scales = scales.tolist()  # Python floats: an overflow at input scale gives inf, no warning
 
     pencil = n // 2
     # hank[i, r, c] = s[i, r + c], the (n-L, L+1) Hankel matrix of each window:
-    # one copy of a read-only strided view. sliding_window_view makes the same
-    # view, but its argument checks add 8 us to a batch of one (2-core x86_64),
-    # about 1 % of a 384-sample run.
+    # one copy of a strided view of s. as_strided and sliding_window_view make
+    # the same view, but their argument checks take 2.9 us against 0.4 us for
+    # np.ndarray (2-core x86_64, numpy 2.4).
     step = s.strides[1]
-    hank = np.lib.stride_tricks.as_strided(
-        s, (len(windows), n - pencil, pencil + 1), (s.strides[0], step, step), writeable=False
+    hank = np.ndarray(
+        (len(windows), n - pencil, pencil + 1), float, s, 0, (s.strides[0], step, step)
     ).copy()
     width = min(max_modes + SKETCH_OVERSAMPLE, n - pencil, pencil + 1)
     svs, vhs = _leading_svd(hank, width, seed)
@@ -317,8 +372,8 @@ def fit_matrix_pencil(
         z = np.linalg.eigvals(np.linalg.pinv(w0, rcond=eps * pencil) @ w1)
 
         # Artifact poles with exploding powers stay out of the Vandermonde
-        # solve as zero columns; with coefficient 0 they reach atoms_from_poles,
-        # which drops them. The products are np.vander's: 1, z, z*z, (z*z)*z, ...
+        # solve as zero columns and get coefficient 0; the keep rule drops
+        # them. The products are np.vander's: 1, z, z*z, (z*z)*z, ...
         solved = np.abs(z) < 1.05
         vand = np.empty((group.size, n, order), dtype=complex)
         vand[:, 0] = solved
@@ -326,8 +381,16 @@ def fit_matrix_pencil(
         np.multiply.accumulate(vand[:, 1:], axis=1, out=vand[:, 1:])
         coeffs = np.linalg.pinv(vand, rcond=eps * n) @ s[group, :, None]
         coeffs = np.where(solved, coeffs[:, :, 0], 0)
-        for i, zi, ci in zip(group, z, coeffs):
-            fits[i] = atoms_from_poles(PoleSet(zi, ci), windows[i].dt, s[i], scales[i])
+        keeps = [
+            _keep_rule(zi, ci, windows[i].dt, scales[i]) for i, zi, ci in zip(group, z, coeffs)
+        ]
+        # one stacked product gives each window's sum of kept modes, with the
+        # coefficients of the modes the keep rule drops set to 0
+        kept = np.array([mask for _, mask, _ in keeps], dtype=bool)
+        models = vand @ np.where(kept, coeffs, 0)[:, :, None]
+        for i, (atoms, _, dropped), model in zip(group, keeps, models):
+            residual = _residual_norm(s[i] - model[:, 0], scales[i])
+            fits[i] = SparseSpectrum.from_atoms(atoms, residual, dropped)
     return fits[0] if single else fits
 
 

@@ -14,6 +14,7 @@ from speclogic import (
     HermitianOp,
     IllConditionedError,
     InputError,
+    NumericError,
     PipelineConfig,
     SpecLogicError,
     TimeSeries,
@@ -266,6 +267,30 @@ def test_stage_annotation_on_errors():
     with pytest.raises(InputError) as err2:
         run(damped_cosine(2.0, 0.2), cfg_bad_rules)
     assert err2.value.stage == "rules"
+
+
+def test_stage_tags_library_errors_and_passes_others_through():
+    with pipeline._stage("estimate"):  # no error: the block runs, nothing is raised
+        ran = True
+    assert ran
+    with pytest.raises(InputError) as err:
+        with pipeline._stage("estimate"):
+            raise InputError("bad window")
+    assert err.value.stage == "estimate"
+    assert str(err.value) == "[stage: estimate] bad window"
+    # the innermost stage tags the error; an outer one keeps that tag
+    with pytest.raises(NumericError) as err:
+        with pipeline._stage("estimate"):
+            with pipeline._stage("preprocess"):
+                raise NumericError("overflow")
+    assert err.value.stage == "preprocess"
+    # any other exception passes through as it is, never swallowed
+    for exc in (ValueError("not ours"), KeyboardInterrupt()):
+        with pytest.raises(type(exc)) as err:
+            with pipeline._stage("estimate"):
+                raise exc
+        assert err.value is exc
+        assert not hasattr(exc, "stage")
 
 
 def changepoint_series(j, omega1=3.0, omega2=3.6, n=512, dt=0.05, gamma=0.1):

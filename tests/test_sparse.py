@@ -17,6 +17,7 @@ from speclogic import (
     eval_spectrum,
     fit_matrix_pencil,
 )
+from speclogic import sparse
 from speclogic.sparse import (
     MAX_PENCIL_SAMPLES,
     SKETCH_OVERSAMPLE,
@@ -320,6 +321,84 @@ def test_pencil_counts_a_growing_pair_once():
     assert sp.atoms[0].omega == pytest.approx(0.9, rel=1e-8)
     assert sp.dropped == 1
     assert sp.residual_norm == pytest.approx(np.linalg.norm(growing), rel=1e-5)
+
+
+def spectrum_record(sp):
+    return sp.atoms, sp.residual_norm, sp.dropped
+
+
+def test_pencil_group_residuals_match_atoms_from_poles(monkeypatch):
+    # orders 2, 4, 4, 2 and 6: three order groups in one batch. The third
+    # window's growing pair (|z| = 1.01) is solved but dropped by the keep
+    # rule; the fourth, at dt = 100, has an amplitude that overflows only at
+    # input scale. Noise keeps every residual far above rounding.
+    rng = np.random.default_rng(5)
+    k = np.arange(128)
+    damped = np.exp(-0.02 * k) * np.cos(0.7 * k)
+    samples = [
+        damped,
+        damped + 0.6 * np.exp(-0.03 * k) * np.cos(1.9 * k),
+        damped + 0.5 * 1.01**k * np.cos(2.2 * k),
+        1e306 * np.exp(-0.2 * k) * np.cos(0.7 * k),
+        1e3 * rng.standard_normal(128),
+    ]
+    windows = [
+        TimeSeries(x + 1e-3 * unit_scale(x) * rng.standard_normal(128), 100.0 if i == 3 else 0.05)
+        for i, x in enumerate(samples)
+    ]
+    batch = fit_matrix_pencil(windows, 6, sv_tol=1e-2)
+
+    calls = []
+    keep_rule = sparse._keep_rule
+
+    def recording(poles, residues, dt, scale):
+        calls.append((poles, residues, dt, scale))
+        return keep_rule(poles, residues, dt, scale)
+
+    monkeypatch.setattr(sparse, "_keep_rule", recording)
+    orders, moduli = [], []
+    for window, fit in zip(windows, batch):
+        calls.clear()
+        alone = fit_matrix_pencil(window, 6, sv_tol=1e-2)
+        assert spectrum_record(fit) == spectrum_record(alone)
+        ((z, c, dt, scale),) = calls
+        direct = atoms_from_poles(PoleSet(z, c), dt, window.samples / scale, scale)
+        assert direct.atoms == fit.atoms and direct.dropped == fit.dropped
+        assert fit.residual_norm == pytest.approx(direct.residual_norm, rel=1e-12, abs=0)
+        orders.append(len(z))
+        moduli.append(np.abs(z))
+    assert orders == [2, 4, 4, 2, 6]
+    assert np.any((moduli[2] >= 1 - 1e-6) & (moduli[2] < 1.05)) and batch[2].dropped == 1
+    assert batch[3].atoms == () and batch[3].dropped == 1  # the whole fit failed
+    norm = 1e306 * np.linalg.norm(windows[3].samples / 1e306)
+    assert batch[3].residual_norm == pytest.approx(norm, rel=1e-12)
+
+
+def test_pencil_test_matrix_cache():
+    sparse._test_matrix.cache_clear()
+    test = sparse._test_matrix(65, 11, 0)
+    with pytest.raises(ValueError):
+        test[0, 0] = 1.0
+    keys = [(seed, n) for n in (18, 128, 384) for seed in (0, 1, 2**40)]
+    x = damped_cosines([(2.0, 0.3, 1.0), (3.1, 0.2, 0.5)], n=384).samples
+    interleaved = {
+        (seed, n): fit_matrix_pencil(TimeSeries(x[:n], 0.05), 4, seed=seed) for seed, n in keys
+    }
+    for seed, n in keys:
+        sparse._test_matrix.cache_clear()
+        fresh = fit_matrix_pencil(TimeSeries(x[:n], 0.05), 4, seed=seed)
+        assert spectrum_record(fresh) == spectrum_record(interleaved[seed, n])
+
+    bound = sparse._test_matrix.cache_info().maxsize
+    for seed in range(bound + 3):
+        sparse._test_matrix(65, 11, seed)
+    assert sparse._test_matrix.cache_info().currsize == bound
+    # a matrix past MAX_CACHED_TEST_ENTRIES floats is drawn, not cached
+    sparse._test_matrix.cache_clear()
+    hank = np.ones((1, 2, sparse.MAX_CACHED_TEST_ENTRIES + 1))
+    sv, _ = sparse._leading_svd(hank, 1, 0)
+    assert sparse._test_matrix.cache_info().currsize == 0
+    assert sv[0, 0] == pytest.approx(np.sqrt(2 * hank.shape[2]), rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,6 @@ imported on the first call that needs it, not with this module.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -46,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, InputError, NumericError
-from .signal import unit_scale
+from .signal import scipy_routine, unit_scale
 
 #: beta_j <= BREAKDOWN_RTOL * ||H q1|| terminates the recurrence.
 BREAKDOWN_RTOL = 1e-12
@@ -117,7 +116,7 @@ class HermitianOp:
         # array not in Fortran order on every call, and h.T of a C-ordered h
         # is one without a copy
         a = np.asfortranarray(h.T)
-        return cls(h.shape[0], lambda v: _blas("symv")(1.0, a, v))
+        return cls(h.shape[0], lambda v: scipy_routine("blas", "symv")(1.0, a, v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,18 +188,9 @@ class RitzSpectrum:
             raise InputError(f"weights must sum to 1 (got {w.sum()!r})")
 
 
-@functools.cache
-def _blas(name: str):
-    """The float64 BLAS routine ``name`` as scipy.linalg binds it (nrm2 is
-    the one scipy.linalg.norm calls on a 1-d array), bound on first use."""
-    import scipy.linalg
-
-    return scipy.linalg.get_blas_funcs(name, dtype=np.float64, ilp64="preferred")
-
-
 def _nrm2(v: np.ndarray) -> float:
     """2-norm by BLAS nrm2, which scales as it sums: no overflow or underflow."""
-    return float(_blas("nrm2")(v))
+    return float(scipy_routine("blas", "nrm2")(v))
 
 
 def _ritz_pairs(alpha: np.ndarray, beta: np.ndarray, residual: float):
@@ -227,16 +217,15 @@ def _window_pairs(alpha, beta, residual: float, lo: float, hi: float):
     Bisection (dstebz) finds the values and inverse iteration (dstein) their
     eigenvectors, in O(k) per pair instead of the full solve's O(k^2).
     """
-    from scipy.linalg import lapack  # here, so importing speclogic loads no scipy
-
+    dstebz = scipy_routine("lapack", "stebz")
     # a bisection tolerance as wide as the window only counts the values
-    m, *_, info = lapack.dstebz(alpha, beta, 1, lo, hi, 0, 0, hi - lo, b"B")
+    m, *_, info = dstebz(alpha, beta, 1, lo, hi, 0, 0, hi - lo, b"B")
     if info != 0 or not 0 < m <= SHORTCUT_PAIRS:
         return None
-    m, lam, iblock, isplit, info = lapack.dstebz(alpha, beta, 1, lo, hi, 0, 0, 0.0, b"B")
+    m, lam, iblock, isplit, info = dstebz(alpha, beta, 1, lo, hi, 0, 0, 0.0, b"B")
     if info != 0:
         return None
-    vec, info = lapack.dstein(alpha, beta, lam[:m], iblock, isplit)
+    vec, info = scipy_routine("lapack", "stein")(alpha, beta, lam[:m], iblock, isplit)
     if info != 0:
         return None
     return lam[:m], vec[0] ** 2, residual * np.abs(vec[-1])

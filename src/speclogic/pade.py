@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedError, InputError
-from .signal import norm2
+from .signal import norm2, scipy_routine
 
 #: Solver residuals above this fraction of ||c|| are reported as failures.
 MOMENT_RESIDUAL_RTOL = 1e-6
@@ -50,7 +50,7 @@ class RationalApprox:
                 f"coefficient lengths ({a.size}, {b.size}) do not match orders "
                 f"[{self.m}/{self.n}]"
             )
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise InputError("rational coefficients must be finite")
 
     @property
@@ -85,13 +85,30 @@ class PoleSet:
 
 
 def _polynomial_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
-    """Companion-matrix roots; trailing near-zero coefficients are trimmed."""
-    q = np.asarray(coeffs_ascending, dtype=float)
-    keep = np.nonzero(np.abs(q) > 1e-14 * np.max(np.abs(q)))[0]
-    if keep.size == 0 or keep[-1] == 0:
+    """Companion-matrix roots of a polynomial whose constant term is nonzero;
+    trailing near-zero coefficients are trimmed.
+
+    With both end coefficients nonzero, this is the companion matrix
+    ``np.roots`` builds and the ``eigvals`` call it makes, so the roots equal
+    its roots bit for bit: complex, or real when every root is.
+    """
+    mag = np.abs(coeffs_ascending)
+    degree = np.nonzero(mag > 1e-14 * mag.max())[0][-1]
+    if degree == 0:
         return np.empty(0, dtype=complex)
-    q = q[: keep[-1] + 1]
-    return np.roots(q[::-1])
+    p = coeffs_ascending[degree::-1]  # descending
+    companion = np.zeros((degree, degree))
+    companion.flat[degree :: degree + 1] = 1.0  # ones below the diagonal
+    companion[0] = -p[1:] / p[0]
+    return np.linalg.eigvals(companion)
+
+
+def _horner(coeffs_ascending: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial at ``x`` by the Horner loop of ``np.polyval``."""
+    y = np.zeros_like(x)
+    for coeff in coeffs_ascending[::-1]:
+        y = y * x + coeff
+    return y
 
 
 def fit_pade(c, m: int, n: int) -> RationalApprox:
@@ -113,7 +130,7 @@ def fit_pade(c, m: int, n: int) -> RationalApprox:
         raise InputError(
             f"need at least {m + n + 1} series coefficients for [{m}/{n}], got {c.size}"
         )
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise InputError("series coefficients must be finite")
 
     used = c[: m + n + 1]
@@ -121,9 +138,11 @@ def fit_pade(c, m: int, n: int) -> RationalApprox:
     if n == 0:
         return RationalApprox(used[: m + 1].copy(), np.empty(0), m, n)
 
-    # rows[i-1, j-1] = c[m+i-j] for i, j = 1..n; padded[k + n] = c[k], 0 for k < 0
+    # rows[i-1, j-1] = c[m+i-j] for i, j = 1..n; padded[k + n] = c[k], 0 for k < 0.
+    # The Toeplitz view is copied: its product with b would skip BLAS gemv and
+    # round differently.
     padded = np.concatenate((np.zeros(n), used))
-    rows = padded[m + n + np.subtract.outer(np.arange(n), np.arange(n))]
+    rows = np.ndarray((n, n), buffer=padded, offset=8 * (m + n), strides=(8, -8)).copy()
     rhs = -c[m + 1 : m + n + 1]
     b, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     residual = norm2(rows @ b - rhs)
@@ -142,16 +161,18 @@ def taylor_coefficients(r: RationalApprox, count: int) -> np.ndarray:
 
     The division recurrence d_k = a_k - sum_{j=1..n} b_j d_{k-j} is forward
     substitution with the count x count lower-triangular banded Toeplitz
-    matrix whose diagonals are 1, b_1..b_n; LAPACK ``dtbtrs`` solves it in
-    O(count*n) without pivoting (the unit diagonal needs none). Overflow
-    gives inf/nan entries and no floating-point warning.
+    matrix whose diagonals are 1, b_1..b_n; LAPACK ``dtbtrs``, bound by
+    :func:`~speclogic.signal.scipy_routine`, solves it in O(count*n) without
+    pivoting (the unit diagonal needs none). Overflow gives inf/nan entries
+    and no floating-point warning.
     """
-    from scipy.linalg.lapack import dtbtrs  # here, so importing speclogic loads no scipy
-
-    band = np.repeat(r.denominator[:, None], count, axis=1)
+    # the band's transpose, one denominator per row: the band is then in
+    # Fortran order and reaches LAPACK without a copy
+    band_t = np.empty((count, r.n + 1))
+    band_t[...] = r.denominator
     rhs = np.zeros(count)
     rhs[: r.m + 1] = r.a[:count]
-    d, _ = dtbtrs(band, rhs, uplo="L", diag="U")
+    d, _ = scipy_routine("lapack", "tbtrs")(band_t.T, rhs, uplo="L", diag="U")
     return d
 
 
@@ -162,14 +183,14 @@ def extract_poles(r: RationalApprox) -> PoleSet:
     denominator yields an empty pole set. Roots closer than 1e-6 relative
     raise the ``multiple_poles`` flag on the result instead of failing.
     """
-    roots = _polynomial_roots(r.denominator)
+    q = r.denominator
+    roots = _polynomial_roots(q)
     if roots.size == 0:
         return PoleSet(np.empty(0, complex), np.empty(0, complex))
 
-    q = r.denominator
     dq = q[1:] * np.arange(1, q.size)  # derivative, ascending coefficients
     with np.errstate(divide="ignore", invalid="ignore"):
-        residues = np.polyval(r.a[::-1], roots) / np.polyval(dq[::-1], roots)
+        residues = _horner(r.a, roots) / _horner(dq, roots)
 
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]
@@ -177,8 +198,8 @@ def extract_poles(r: RationalApprox) -> PoleSet:
 
     multiple = False
     if roots.size > 1:
-        diff = np.abs(roots[:, None] - roots[None, :])
-        diff[np.diag_indices_from(diff)] = np.inf
+        diff = np.abs(roots[:, None] - roots)
+        diff.flat[:: roots.size + 1] = np.inf  # the diagonal
         mod = np.abs(roots)
-        multiple = bool(np.any(diff < MULTIPLE_POLE_RTOL * np.maximum.outer(mod, mod)))
+        multiple = bool((diff < MULTIPLE_POLE_RTOL * np.maximum.outer(mod, mod)).any())
     return PoleSet(roots, residues, multiple)

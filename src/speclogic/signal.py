@@ -1,5 +1,5 @@
-"""Time-domain signal container, mean removal, scale-safe sample norms, file
-ingestion and CSV output.
+"""Time-domain signal container, mean removal, scale-safe sample norms, the
+binder of scipy's BLAS and LAPACK routines, file ingestion and CSV output.
 
 Everything here is a pure function over immutable values; results are safe
 to share between threads.
@@ -7,6 +7,7 @@ to share between threads.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from array import array
@@ -113,6 +114,21 @@ def norm2(v: np.ndarray) -> float:
     scale = unit_scale(v)
     unit = v / scale
     return math.sqrt(float(np.vdot(unit, unit))) * scale
+
+
+@functools.cache
+def scipy_routine(library: str, name: str):
+    """The float64 routine ``name`` of scipy's ``library``, "blas" or
+    "lapack", bound on its first use, so importing speclogic loads no scipy.
+
+    BLAS routines bind as ``scipy.linalg.norm`` binds the nrm2 it calls on a
+    1-d float array (``ilp64="preferred"``), so a norm taken here has its bits.
+    """
+    import scipy.linalg
+
+    if library == "blas":
+        return scipy.linalg.get_blas_funcs(name, dtype=np.float64, ilp64="preferred")
+    return scipy.linalg.get_lapack_funcs(name, dtype=np.float64)
 
 
 def autocorrelation(x: TimeSeries, max_lag: int) -> TimeSeries:

@@ -100,7 +100,13 @@ class SymbolSet:
     predicates: frozenset[Predicate]
 
     def __post_init__(self):
-        object.__setattr__(self, "predicates", frozenset(self.predicates))
+        predicates = frozenset(self.predicates)
+        object.__setattr__(self, "predicates", predicates)
+        # built once per set, since every set's names are read; not a field,
+        # so equality, hashing and to_json see only the predicates. A
+        # functools.cached_property would also give each set an instance
+        # dict on Python 3.11, one more object for the garbage collector.
+        object.__setattr__(self, "_names", frozenset(p.name for p in predicates))
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "SymbolSet":
@@ -108,7 +114,7 @@ class SymbolSet:
 
     @property
     def names(self) -> frozenset[str]:
-        return frozenset(p.name for p in self.predicates)
+        return self._names
 
     def __len__(self) -> int:
         return len(self.predicates)

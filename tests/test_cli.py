@@ -440,6 +440,18 @@ def test_run_past_the_pencil_maximum_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("backend", ["matrix_pencil", "pade_z"])
+def test_a_lapack_failure_exits_3(workdir, capsys, monkeypatch, backend):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    assert main(["run", "--input", str(workdir / "sig.csv"), "--backend", backend]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: [stage: estimate]") and "did not converge" in err
+    assert "Traceback" not in err
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     assert main(["run", "--input", str(tmp_path / "absent.csv")]) == 2
     assert "error" in capsys.readouterr().err

@@ -41,6 +41,26 @@ def test_import_and_the_pencil_path_load_no_scipy():
     )
 
 
+def test_a_fixed_order_pade_fit_loads_no_scipy():
+    # only the automatic order sweep (dtbtrs, nrm2) needs scipy.linalg; a
+    # fixed-order fit solves its moment system with np.linalg.lstsq
+    _fresh(
+        "import dataclasses, sys\n"
+        "import numpy as np\n"
+        "import speclogic\n"
+        "from speclogic.benchmark import reference_config\n"
+        "from speclogic.pipeline import PadeSettings, run\n"
+        "x, _ = speclogic.synth_oscillator('underdamped_high', seed=5)\n"
+        "cfg = dataclasses.replace(reference_config(), backend='pade_z')\n"
+        "assert cfg.pade == PadeSettings()\n"
+        "result = run(x, cfg)\n"
+        "assert result.diagnostics['estimate']['orders'] == [1, 2]\n"
+        "r = speclogic.fit_pade(0.5 ** np.arange(16), 3, 4)\n"
+        "assert len(speclogic.extract_poles(r)) >= 1\n"
+        f"assert {SCIPY_LOADED} == [], {SCIPY_LOADED}\n"
+    )
+
+
 def test_the_pencil_path_loads_no_numpy_ma():
     # numpy.ma (which np.unique imports on numpy 2) adds about 14 ms and 1.2 MB
     # to a start-up

@@ -324,3 +324,141 @@ def test_pade_z_is_scale_invariant(scale):
     assert got.omega == pytest.approx(want.omega, rel=1e-8)
     assert got.gamma == pytest.approx(want.gamma, rel=1e-8)
     assert got.amp == pytest.approx(scale * want.amp, rel=1e-8)
+
+
+# Rounding guards: fit_pade, taylor_coefficients and extract_poles skip numpy's
+# wrappers but must keep every LAPACK call and floating-point operation of the
+# wrapped forms below, so each comparison is exact, not to a tolerance.
+
+
+def wrapped_fit(c, m, n):
+    """fit_pade's (b, a, moment residual vector) from the fancy-indexed Toeplitz matrix."""
+    used = c[: m + n + 1]
+    padded = np.concatenate((np.zeros(n), used))
+    rows = padded[m + n + np.subtract.outer(np.arange(n), np.arange(n))]
+    rhs = -c[m + 1 : m + n + 1]
+    b, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+    a = np.convolve(np.concatenate(([1.0], b)), c[: m + 1])[: m + 1]
+    return b, a, rows @ b - rhs
+
+
+@pytest.fixture
+def norm2_args(monkeypatch):
+    """The arrays fit_pade takes norms of, in call order: the series, then the moment residual."""
+    from speclogic import pade, signal
+
+    seen = []
+
+    def recording(v):
+        seen.append(v.copy())
+        return signal.norm2(v)
+
+    monkeypatch.setattr(pade, "norm2", recording)
+    return seen
+
+
+def wrapped_taylor(r, count):
+    """taylor_coefficients by dtbtrs on an np.repeat band."""
+    from scipy.linalg.lapack import dtbtrs
+
+    band = np.repeat(r.denominator[:, None], count, axis=1)
+    rhs = np.zeros(count)
+    rhs[: r.m + 1] = r.a[:count]
+    return dtbtrs(band, rhs, uplo="L", diag="U")[0]
+
+
+def wrapped_poles(r):
+    """extract_poles' (sorted poles, residues, multiple) by np.roots and np.polyval."""
+    q = r.denominator
+    keep = np.nonzero(np.abs(q) > 1e-14 * np.max(np.abs(q)))[0]
+    roots = np.roots(q[: keep[-1] + 1][::-1])
+    dq = q[1:] * np.arange(1, q.size)
+    residues = np.polyval(r.a[::-1], roots) / np.polyval(dq[::-1], roots)
+    order = np.lexsort((roots.imag, roots.real))
+    roots, residues = roots[order], residues[order]
+    diff = np.abs(roots[:, None] - roots[None, :])
+    diff[np.diag_indices_from(diff)] = np.inf
+    mod = np.abs(roots)
+    multiple = bool(np.any(diff < 1e-6 * np.maximum.outer(mod, mod)))
+    return roots, residues, multiple
+
+
+def noisy_mode_series(seed, count=384):
+    """Series coefficients like the auto sweep's: a damped cosine plus noise at unit scale."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(count) * 0.05
+    x = np.exp(-0.1 * t) * np.cos(2.0 * t) + 0.01 * rng.standard_normal(count)
+    return x / 2.0 ** np.frexp(np.max(np.abs(x)))[1]
+
+
+GUARD_ORDERS = [(n - 1, n) for n in range(1, 9)] + [(0, 3), (1, 5), (3, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("m, n", GUARD_ORDERS, ids=[f"[{m}/{n}]" for m, n in GUARD_ORDERS])
+def test_fit_pade_equals_lstsq_on_the_fancy_indexed_matrix(m, n, norm2_args):
+    for seed in range(8):
+        c = noisy_mode_series(seed)
+        norm2_args.clear()
+        fit = fit_pade(c, m, n)
+        if n == 0:
+            assert np.array_equal(fit.a, c[: m + 1]) and fit.b.size == 0
+            continue
+        b, a, residual = wrapped_fit(c, m, n)
+        assert np.array_equal(fit.b, b) and np.array_equal(fit.a, a)
+        # the residual product rounds as BLAS gemv on a contiguous matrix does
+        assert np.array_equal(norm2_args[1], residual)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (6, 7)])
+def test_fit_pade_equals_lstsq_on_a_rank_deficient_system(m, n, norm2_args):
+    # a clean damped cosine has two poles, so from n = 3 its moment matrix is singular
+    c = np.exp(-0.005 * np.arange(64)) * np.cos(0.3 * np.arange(64))
+    b, a, residual = wrapped_fit(c, m, n)
+    assert np.linalg.matrix_rank(moment_oracle(c, m, n)) < n
+    fit = fit_pade(c, m, n)
+    assert np.array_equal(fit.b, b) and np.array_equal(fit.a, a)
+    assert np.array_equal(norm2_args[1], residual)
+
+
+def test_fit_pade_rejects_the_ill_conditioned_zero_moment_with_the_wrapped_residual():
+    # [0/1] with c_0 = 0: the 1x1 moment matrix is 0, so b_1 c_0 = -c_1 has no solution
+    c = np.array([0.0, 1.0, 0.5])
+    _, _, residual = wrapped_fit(c, 0, 1)
+    with pytest.raises(IllConditionedError) as err:
+        fit_pade(c, 0, 1)
+    assert np.array_equal(residual, [1.0]) and err.value.residual == 1.0
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 384])
+def test_taylor_coefficients_equal_dtbtrs_on_a_repeat_band(count):
+    c = noisy_mode_series(3)
+    for n in range(9):
+        r = fit_pade(c, 4, n)  # counts 0, 1 and 3 cut the numerator's 5 terms
+        got = taylor_coefficients(r, count)
+        assert got.shape == (count,)
+        assert np.array_equal(got, wrapped_taylor(r, count))
+
+
+def test_extract_poles_equals_np_roots_and_np_polyval():
+    cases = [fit_pade(noisy_mode_series(seed), n - 1, n) for seed in range(4) for n in range(1, 9)]
+    # all-real roots, where eigvals returns a real dtype
+    cases.append(RationalApprox(np.array([1.0, 0.5]), np.array([-0.5, -0.5, 0.125]), 1, 3))
+    # a trimmed leading coefficient: degree 2, not 3
+    cases.append(RationalApprox(np.array([1.0, 0.2, 0.1]), np.array([0.3, 0.4, 1e-17]), 2, 3))
+    for r in cases:
+        ps = extract_poles(r)
+        poles, residues, multiple = wrapped_poles(r)
+        assert np.array_equal(ps.poles, poles) and np.array_equal(ps.residues, residues)
+        assert ps.multiple_poles == multiple
+    assert len(extract_poles(cases[-1])) == 2
+
+
+def test_polynomial_roots_keep_the_dtype_np_roots_returns():
+    from speclogic.pade import _polynomial_roots
+
+    for q in ([1.0, -1.5, 0.5], [1.0, 0.0, 1.0], [1.0, 0.3, 0.4, 1e-17]):
+        q = np.array(q)
+        keep = np.nonzero(np.abs(q) > 1e-14 * np.max(np.abs(q)))[0]
+        want = np.roots(q[: keep[-1] + 1][::-1])
+        got = _polynomial_roots(q)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -11,6 +11,7 @@ from speclogic import (
     BinAxis,
     BinningConfig,
     ConfigError,
+    ConvergenceError,
     HermitianOp,
     IllConditionedError,
     InputError,
@@ -267,6 +268,25 @@ def test_stage_annotation_on_errors():
     with pytest.raises(InputError) as err2:
         run(damped_cosine(2.0, 0.2), cfg_bad_rules)
     assert err2.value.stage == "rules"
+
+
+def _failing_lapack(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize(
+    "backend, routine", [("matrix_pencil", "svd"), ("pade_z", "lstsq"), ("pade_z", "eigvals")]
+)
+def test_a_lapack_failure_is_a_convergence_error_of_the_estimate_stage(
+    monkeypatch, backend, routine
+):
+    cfg = dataclasses.replace(reference_config(), backend=backend)
+    monkeypatch.setattr(np.linalg, routine, _failing_lapack)
+    with pytest.raises(ConvergenceError) as err:
+        run(damped_cosine(2.0, 0.2), cfg)
+    assert err.value.stage == "estimate"
+    assert str(err.value).startswith(f"[stage: estimate] the {backend} fit failed: ")
+    assert err.value.__cause__ is None
 
 
 def test_stage_tags_library_errors_and_passes_others_through():

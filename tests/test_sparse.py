@@ -181,6 +181,28 @@ def test_atoms_from_poles_residual_counts_kept_modes_and_partners():
     assert sp.residual_norm == pytest.approx(np.linalg.norm(samples), rel=1e-12)
 
 
+@pytest.mark.parametrize("samples", [64, 384, 1])
+def test_atoms_from_poles_residual_equals_the_vander_form(monkeypatch, samples):
+    # a rounding guard: the model is the transposed product np.vander(...).T @
+    # residues; the same product of a C-ordered copy rounds differently
+    rng = np.random.default_rng(samples)
+    z = np.exp(rng.uniform(-0.05, 0.0, 6) + 1j * rng.uniform(-3.0, 3.0, 6))
+    z[0] = 1.2  # unstable: dropped, so the kept mask is not all ones
+    modes = PoleSet(z, rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    x = rng.standard_normal(samples)
+    diffs = []
+    real_residual_norm = sparse._residual_norm
+    monkeypatch.setattr(
+        sparse, "_residual_norm", lambda d, s: diffs.append(d) or real_residual_norm(d, s)
+    )
+    sp = atoms_from_poles(modes, 0.05, x, 2.0)
+    _, kept, _ = sparse._keep_rule(modes.poles, modes.residues, 0.05, 2.0)
+    assert 0 < np.count_nonzero(kept) < 6
+    model = np.vander(modes.poles[kept], samples, increasing=True).T @ modes.residues[kept]
+    assert np.array_equal(diffs[0], x - model)
+    assert sp.residual_norm == real_residual_norm(x - model, 2.0)
+
+
 def test_spectrum_sorting_and_merge():
     atoms = [LorentzianAtom(3.0, 0.1, 1.0), LorentzianAtom(1.0, 0.1, 2.0)]
     sp = SparseSpectrum.from_atoms(atoms)

@@ -109,3 +109,14 @@ def test_binning_serialization_roundtrip():
 def test_symbolset_json_sorted_names():
     s = SymbolSet(frozenset({Predicate("b", 1), Predicate("a", 0), Predicate("b", 2)}))
     assert s.to_json() == ["a", "b"]
+
+
+def test_symbolset_names_are_built_once():
+    preds = frozenset({Predicate("b", 1), Predicate("a", 0), Predicate("b", 2)})
+    s = SymbolSet(preds)
+    assert s.names is s.names
+    assert s.names == frozenset(p.name for p in preds) == {"a", "b"}
+    # the cached names change neither equality, hashing nor the serialized form
+    fresh = SymbolSet(preds)
+    assert s == fresh and hash(s) == hash(fresh) and s.to_json() == fresh.to_json()
+    assert s.union_names(["c"]).names == {"a", "b", "c"}

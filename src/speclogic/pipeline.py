@@ -37,7 +37,7 @@ import json
 import math
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -49,12 +49,13 @@ from .errors import (
     InputError,
     SpecLogicError,
 )
-from .lanczos import HermitianOp, RitzSpectrum, lanczos_tridiag, tridiag_eigen
+from .lanczos import HermitianOp, RitzSpectrum, TridiagResult, lanczos_tridiag, tridiag_eigen
 from .pade import PoleSet, RationalApprox, extract_poles, fit_pade, taylor_coefficients
 from .rules import ProofTrace, RuleSet, infer, load_rules, parse_rules
 from .signal import PreprocessConfig, TimeSeries, norm2, preprocess, scipy_routine, unit_scale
 from .sparse import (
     SV_TOL_DEFAULT,
+    FitHealth,
     LorentzianAtom,
     SparseSpectrum,
     atoms_from_poles,
@@ -224,7 +225,8 @@ class RunResult:
     """All intermediates of one pipeline run.
 
     ``diagnostics`` holds per-stage counters and residuals and is part of
-    the serialized form.
+    the serialized form; its ``estimate`` entry is the fields of the
+    spectrum's :class:`~speclogic.sparse.FitHealth` (see its ``to_dict``).
     """
 
     atoms: SparseSpectrum
@@ -301,44 +303,38 @@ def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
     return best
 
 
-def _signal_modes(poles: PoleSet) -> PoleSet:
-    """Invert approximant poles into per-sample mode bases with coefficients.
+def _pade_z(x: TimeSeries, pade: PadeSettings) -> SparseSpectrum:
+    """The ``pade_z`` fit of one series, with its health record.
 
-    F(z) ~ r/(z - p) contributes (-r/p) * (1/p)^n to sample n, so the mode
-    base is z = 1/p with coefficient c = -r/p. A pole within 1e-12 of the
-    origin (|z| > 1e12), a multiple pole (residue not finite) and an
-    overflowing coefficient all fall to the keep rule of
+    F(z) ~ r/(z - p) contributes (-r/p) * (1/p)^n to sample n, so each
+    approximant pole p gives the mode base z = 1/p with coefficient c = -r/p.
+    A pole within 1e-12 of the origin (|z| > 1e12), a multiple pole (residue
+    not finite) and an overflowing coefficient all fall to the keep rule of
     :func:`atoms_from_poles`.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return PoleSet(1.0 / poles.poles, -poles.residues / poles.poles)
-
-
-def _pade_z(x: TimeSeries, pade: PadeSettings) -> tuple[SparseSpectrum, dict]:
-    """The ``pade_z`` fit of one series, with the diagnostics only this back-end reports."""
     scale = unit_scale(x.samples)
     c = x.samples / scale
     if pade.auto:
-        sweep = auto_order_sweep(c, pade.n_max, PADE_RESIDUAL_TOL)
-        m, n, rational = sweep.m, sweep.n, sweep.rational
-        diagnostics = {"auto": True, "residual": sweep.residual, "converged": sweep.converged}
+        m, n, residual, converged, rational = auto_order_sweep(c, pade.n_max, PADE_RESIDUAL_TOL)
     else:
-        m, n = pade.m, pade.n
+        m, n, residual, converged = pade.m, pade.n, None, None
         rational = fit_pade(c, m, n)
-        diagnostics = {"auto": False}
     poles = extract_poles(rational)
-    diagnostics.update(orders=[m, n], multiple_poles=poles.multiple_poles)
-    return atoms_from_poles(_signal_modes(poles), x.dt, c, scale), diagnostics
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        modes = PoleSet(1.0 / poles.poles, -poles.residues / poles.poles)
+    sp = atoms_from_poles(modes, x.dt, c, scale)
+    reported = sp.residual_norm, sp.dropped, pade.auto, (m, n), poles.multiple_poles
+    return replace(sp, health=FitHealth("pade_z", *reported, residual, converged))
 
 
-def _estimate(series: list[TimeSeries], cfg: PipelineConfig) -> list[tuple[SparseSpectrum, dict]]:
-    """The configured back-end's spectrum of each preprocessed series, paired
-    with its ``diagnostics["estimate"]`` record.
+def _estimate(series: list[TimeSeries], cfg: PipelineConfig) -> list[SparseSpectrum]:
+    """The configured back-end's spectrum of each preprocessed series, each
+    with the :class:`~speclogic.sparse.FitHealth` its fit filled.
 
     The matrix pencil fits equal-length series as one stacked batch, and
-    ``pade_z`` fits them one at a time; either way a series' pair does not
-    depend on the batch it came in. A numpy ``LinAlgError`` of either fit (a
-    LAPACK iteration that did not converge) is raised as a
+    ``pade_z`` fits them one at a time; either way a series' spectrum does
+    not depend on the batch it came in. A numpy ``LinAlgError`` of either
+    fit (a LAPACK iteration that did not converge) is raised as a
     :class:`ConvergenceError`.
     """
     if cfg.backend not in SIGNAL_BACKENDS:
@@ -348,22 +344,17 @@ def _estimate(series: list[TimeSeries], cfg: PipelineConfig) -> list[tuple[Spars
         )
     try:
         if cfg.backend == "matrix_pencil":
-            fits = fit_matrix_pencil(series, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
-            pairs = [(sp, {}) for sp in fits]
-        else:
-            pairs = [_pade_z(x, cfg.pade) for x in series]
+            return fit_matrix_pencil(series, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
+        return [_pade_z(x, cfg.pade) for x in series]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"the {cfg.backend} fit failed: {exc}") from None
-    for sp, diagnostics in pairs:
-        diagnostics.update(backend=cfg.backend, residual_norm=sp.residual_norm, dropped=sp.dropped)
-    return pairs
 
 
 def _atoms_from_ritz(
-    ritz: RitzSpectrum, eta: float, k_max: int, eps: float
-) -> tuple[SparseSpectrum, float]:
-    """The ``k_max`` heaviest Ritz pairs of positive weight as atoms, and
-    the largest Paige bound among those of weight at least ``eps``.
+    tri: TridiagResult, ritz: RitzSpectrum, eta: float, k_max: int, eps: float
+) -> SparseSpectrum:
+    """The ``k_max`` heaviest Ritz pairs of positive weight as atoms, with the
+    health record of the recurrence ``tri`` that :func:`run_hermitian` reports.
 
     Ritz values and weights are the nodes and weights of the Gauss
     quadrature of the start vector's spectral measure, so each pair is a
@@ -379,7 +370,8 @@ def _atoms_from_ritz(
     atoms = [LorentzianAtom(ritz.lambdas[i], eta / 10.0, ritz.weights[i]) for i in kept]
     residual = max(0.0, 1.0 - float(ritz.weights[kept].sum()))
     bound = float(np.max(ritz.bounds[kept[ritz.weights[kept] >= eps]], initial=0.0))
-    return SparseSpectrum.from_atoms(atoms, residual), bound
+    health = FitHealth("lanczos", residual, steps=tri.k, breakdown=tri.breakdown, ritz_bound=bound)
+    return SparseSpectrum.from_atoms(atoms, residual, health=health)
 
 
 class _stage:
@@ -424,14 +416,13 @@ def _preprocessed(x: TimeSeries, cfg: PipelineConfig) -> TimeSeries:
     return pre
 
 
-def run(
-    x: TimeSeries, cfg: PipelineConfig, estimate: tuple[SparseSpectrum, dict] | None = None
-) -> RunResult:
+def run(x: TimeSeries, cfg: PipelineConfig, estimate: SparseSpectrum | None = None) -> RunResult:
     """Execute the full pipeline on a time series.
 
-    With ``estimate``, the pair the batch estimate step gave for ``x`` (see
-    :func:`detect_anomalies`), the run neither preprocesses nor estimates
-    ``x`` and gives the result a run without it would.
+    With ``estimate``, the spectrum, health record and all, that the batch
+    estimate step gave for ``x`` (see :func:`detect_anomalies`), the run
+    neither preprocesses nor estimates ``x`` and gives the result a run
+    without it would.
     """
     with _stage("rules"):
         ruleset = cfg.load_ruleset()
@@ -439,9 +430,8 @@ def run(
         pre = _preprocessed(x, cfg)
         with _stage("estimate"):
             (estimate,) = _estimate([pre], cfg)
-    atoms, estimate_diag = estimate
-    diagnostics = {"preprocess": {"samples": len(x)}, "estimate": estimate_diag}
-    return _finish(atoms, cfg, ruleset, diagnostics)
+    diagnostics = {"preprocess": {"samples": len(x)}, "estimate": estimate.health.to_dict()}
+    return _finish(estimate, cfg, ruleset, diagnostics)
 
 
 def run_hermitian(op: HermitianOp, q1, cfg: PipelineConfig) -> RunResult:
@@ -461,29 +451,15 @@ def run_hermitian(op: HermitianOp, q1, cfg: PipelineConfig) -> RunResult:
     with _stage("rules"):
         ruleset = cfg.load_ruleset()
     k, eta, eps = cfg.lanczos.k, cfg.lanczos.eta, cfg.binning.negligible_eps
+    # k unset: stop once the non-negligible Ritz pairs converge, capped at dim
+    steps, ritz_tol = (op.dim, eta / 10.0) if k is None else (k, None)
     with _stage("estimate"):
-        # k unset: stop once the non-negligible Ritz pairs converge, capped at dim
-        tri = lanczos_tridiag(
-            op,
-            q1,
-            op.dim if k is None else k,
-            ritz_tol=eta / 10.0 if k is None else None,
-            min_weight=eps,
-        )
+        tri = lanczos_tridiag(op, q1, steps, ritz_tol=ritz_tol, min_weight=eps)
     with _stage("estimate_eigen"):
         ritz = tridiag_eigen(tri)
     with _stage("decompose"):
-        atoms, ritz_bound = _atoms_from_ritz(ritz, eta, cfg.sparse.k_max, eps)
-    diagnostics = {
-        "estimate": {
-            "backend": "lanczos",
-            "steps": tri.k,
-            "breakdown": tri.breakdown,
-            "residual_norm": atoms.residual_norm,
-            "ritz_bound": ritz_bound,
-        }
-    }
-    return _finish(atoms, cfg, ruleset, diagnostics)
+        atoms = _atoms_from_ritz(tri, ritz, eta, cfg.sparse.k_max, eps)
+    return _finish(atoms, cfg, ruleset, {"estimate": atoms.health.to_dict()})
 
 
 def detect_anomalies(

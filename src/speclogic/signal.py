@@ -85,13 +85,13 @@ def preprocess(x: TimeSeries, cfg: PreprocessConfig) -> TimeSeries:
 
 
 def unit_scale(samples: np.ndarray) -> float:
-    """The power of two at or below max|samples|, or 1.0 when all are zero.
+    """The power of two at or below max|samples|, or 1.0 when all are zero or there are none.
 
     Both signal back-ends fit ``samples / unit_scale(samples)``: no power of
     a 1e300 signal overflows, a 1e-300 one is not read as zero, and since the
     division is exact every rounding is the unscaled fit's at ordinary scale.
     """
-    peak = float(np.max(np.abs(samples)))
+    peak = float(np.max(np.abs(samples), initial=0.0))
     return 2.0 ** (math.frexp(peak)[1] - 1) if peak > 0 else 1.0
 
 

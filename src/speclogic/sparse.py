@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,6 +86,27 @@ class LorentzianAtom:
             raise InputError(f"amp must be positive and finite, got {self.amp}")
 
 
+class FitHealth(NamedTuple):
+    """A fit's report on itself: each back-end fills the fields that name it; the rest are None."""
+
+    backend: str
+    residual_norm: float
+    dropped: int | None = None  # matrix_pencil, pade_z
+    auto: bool | None = None  # pade_z
+    orders: tuple[int, int] | None = None  # pade_z: (m, n)
+    multiple_poles: bool | None = None  # pade_z
+    residual: float | None = None  # pade_z with auto: the order sweep's relative residual
+    converged: bool | None = None  # pade_z with auto: whether the sweep met its tolerance
+    steps: int | None = None  # lanczos
+    breakdown: bool | None = None  # lanczos
+    ritz_bound: float | None = None  # lanczos: see pipeline.run_hermitian
+
+    def to_dict(self) -> dict:
+        """The fields that are not None, ``orders`` as a list: ``diagnostics["estimate"]``."""
+        items = zip(self._fields, self)
+        return {k: list(v) if k == "orders" else v for k, v in items if v is not None}
+
+
 @dataclass(frozen=True, eq=False)
 class SparseSpectrum:
     """Atoms sorted by center frequency plus fit diagnostics.
@@ -94,14 +115,15 @@ class SparseSpectrum:
     signal, the 2-norm of the samples minus the kept modes; for a Ritz
     spectrum, the share of the start vector's spectral weight the kept atoms
     leave out; 0 without a target. ``dropped`` counts candidate modes
-    discarded as growing, undamped or amplitude-free. ``converged`` is
-    always True, since no producer is iterative; the benchmark still reads it.
+    discarded as growing, undamped or amplitude-free. ``health`` is the
+    producing fit's :class:`FitHealth`; a spectrum read from JSON has none.
     """
 
     atoms: tuple[LorentzianAtom, ...]
     residual_norm: float = 0.0
     dropped: int = 0
-    converged: bool = True
+    health: FitHealth | None = None
+    converged = True  # not a field: no producer iterates, and the benchmark reads it
 
     def __post_init__(self):
         atoms = tuple(self.atoms)
@@ -121,13 +143,14 @@ class SparseSpectrum:
         atoms: Sequence[LorentzianAtom],
         residual_norm: float = 0.0,
         dropped: int = 0,
+        health: FitHealth | None = None,
     ) -> "SparseSpectrum":
         """Sort atoms by (omega, gamma). Close atoms are all kept: a fixed
         merge tolerance would depend on the input's scale, and each producer
         already collapses what is one resonance (a conjugate partner in
         :func:`atoms_from_poles`)."""
         ordered = sorted(atoms, key=lambda at: (at.omega, at.gamma))
-        return cls(tuple(ordered), float(residual_norm), dropped)
+        return cls(tuple(ordered), float(residual_norm), dropped, health)
 
     def to_dict(self) -> dict:
         return {
@@ -321,8 +344,8 @@ def fit_matrix_pencil(
 
     The samples are divided by :func:`unit_scale` before any product is
     formed, so the fit is scale invariant; amplitudes and the residual norm
-    are reported at the input's scale, as :func:`atoms_from_poles` reports
-    them.
+    are at the input's scale, as in :func:`atoms_from_poles`, and each
+    spectrum's :class:`FitHealth` holds its residual and drop count.
     """
     single = isinstance(x, TimeSeries)
     windows = [x] if single else list(x)
@@ -390,7 +413,8 @@ def fit_matrix_pencil(
         models = vand @ np.where(kept, coeffs, 0)[:, :, None]
         for i, (atoms, _, dropped), model in zip(group, keeps, models):
             residual = _residual_norm(s[i] - model[:, 0], scales[i])
-            fits[i] = SparseSpectrum.from_atoms(atoms, residual, dropped)
+            health = FitHealth("matrix_pencil", residual, dropped)
+            fits[i] = SparseSpectrum.from_atoms(atoms, residual, dropped, health)
     return fits[0] if single else fits
 
 

@@ -30,7 +30,7 @@ from speclogic import pipeline
 from speclogic.pade import PoleSet
 from speclogic.pipeline import LanczosSettings, PadeSettings, SparseSettings
 from speclogic.signal import PreprocessConfig, preprocess, read_json
-from speclogic.sparse import fit_matrix_pencil
+from speclogic.sparse import SparseSpectrum, fit_matrix_pencil
 
 
 def damped_cosine(omega, gamma, n=256, dt=0.05, amp=1.0):
@@ -432,10 +432,10 @@ def test_batched_pencil_equals_each_window_alone(seed):
         _, segments = windows_of(x, 128, 16)
         estimates = pipeline._estimate(segments, cfg)
         assert len(estimates) == len(segments)
-        for segment, (fit, diagnostics) in zip(segments, estimates):
+        for segment, fit in zip(segments, estimates):
             alone = fit_matrix_pencil(segment, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
             assert spectrum_record(fit) == spectrum_record(alone)
-            assert run(segment, cfg, (fit, diagnostics)).to_json() == run(segment, cfg).to_json()
+            assert run(segment, cfg, fit).to_json() == run(segment, cfg).to_json()
 
 
 @pytest.mark.parametrize("pade", [PadeSettings(), PadeSettings(auto=True)], ids=["fixed", "auto"])
@@ -685,6 +685,60 @@ def test_pade_diagnostics_carry_multiple_poles(monkeypatch, multiple):
     )
     result = run(damped_cosine(2.6, 0.15), cfg)
     assert result.diagnostics["estimate"]["multiple_poles"] is multiple
+
+
+#: The exact type of each diagnostics["estimate"] key, so a new field of the
+#: fit-health record cannot reach the JSON unnoticed.
+ESTIMATE_TYPES = {
+    "backend": str,
+    "residual_norm": float,
+    "dropped": int,
+    "auto": bool,
+    "orders": list,
+    "multiple_poles": bool,
+    "residual": float,
+    "converged": bool,
+    "steps": int,
+    "breakdown": bool,
+    "ritz_bound": float,
+}
+SIGNAL_KEYS = {"backend", "residual_norm", "dropped"}
+PADE_KEYS = SIGNAL_KEYS | {"auto", "orders", "multiple_poles"}
+
+
+@pytest.mark.parametrize(
+    "backend, pade, keys",
+    [
+        ("matrix_pencil", PadeSettings(), SIGNAL_KEYS),
+        ("pade_z", PadeSettings(), PADE_KEYS),
+        ("pade_z", PadeSettings(auto=True), PADE_KEYS | {"residual", "converged"}),
+        ("lanczos", None, {"backend", "residual_norm", "steps", "breakdown", "ritz_bound"}),
+    ],
+    ids=["pencil", "pade_fixed", "pade_auto", "lanczos"],
+)
+def test_estimate_diagnostics_are_the_fit_health_record(heavy_pair_operator, backend, pade, keys):
+    if backend == "lanczos":
+        h, q1 = heavy_pair_operator(np.random.default_rng(61), 80)
+        result = run_hermitian(HermitianOp.from_dense(h), q1, heavy_pair_config())
+    else:
+        cfg = pencil_config("resonance_high => alert\n")
+        cfg = dataclasses.replace(cfg, backend=backend, pade=pade)
+        result = run(damped_cosine(2.6, 0.15), cfg)
+    record = result.diagnostics["estimate"]
+    assert set(record) == keys
+    assert {key: type(value) for key, value in record.items()} == {
+        key: ESTIMATE_TYPES[key] for key in keys
+    }
+    assert record == result.atoms.health.to_dict()
+    assert record["backend"] == backend == result.atoms.health.backend
+    assert record["residual_norm"] == result.atoms.residual_norm
+    if "orders" in keys:
+        assert [type(v) for v in record["orders"]] == [int, int]
+    # only a series has a sample count
+    assert set(result.diagnostics) == {"estimate", "project", "infer"} | (
+        set() if backend == "lanczos" else {"preprocess"}
+    )
+    assert SparseSpectrum.from_dict(result.atoms.to_dict()).health is None
 
 
 def test_config_json_roundtrip(tmp_path):

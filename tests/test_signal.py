@@ -13,6 +13,7 @@ from speclogic.signal import (
     load_timeseries_json,
     norm2,
     save_timeseries_csv,
+    unit_scale,
     write_csv,
 )
 from speclogic.sparse import atoms_from_poles, fit_matrix_pencil
@@ -214,6 +215,16 @@ def test_norm2_neither_overflows_nor_underflows_nor_warns():
         empty = PoleSet(np.empty(0, complex), np.empty(0, complex))
         with pytest.raises(NumericError, match="overflows"):
             atoms_from_poles(empty, 0.1, np.array([1.5e308, -1.5e308]))
+
+
+def test_empty_samples_scale_by_one_and_leave_no_residual():
+    empty = np.empty(0)
+    assert unit_scale(empty) == 1.0
+    assert norm2(empty) == 0.0
+    assert norm2(np.empty(0, dtype=complex)) == 0.0
+    modes = PoleSet(np.array([0.9 + 0.1j, 0.9 - 0.1j]), np.array([1 + 0j, 1 + 0j]))
+    sp = atoms_from_poles(modes, 0.1, empty)
+    assert sp.residual_norm == 0.0 and len(sp) == 1
 
 
 def test_norm2_agrees_with_blas_nrm2():

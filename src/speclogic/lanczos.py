@@ -11,14 +11,15 @@ Given a Ritz tolerance, the recurrence stops once every Ritz pair heavy
 enough to matter has converged: Paige's bound beta_k * |s_kj| on the pair's
 residual ||H y_j - theta_j y_j|| (Paige 1980), with s_kj the last component
 of the tridiagonal eigenvector, is at or below the tolerance. A failing
-check needs only one heavy pair still above it. So a check first solves
-only the Ritz pairs near those the previous check found unconverged, by
-bisection and inverse iteration in O(k) per pair (Parlett, The Symmetric
-Eigenvalue Problem), and fails at once when one of them is still heavy and
-unconverged by a fixed margin. That shortcut can only say "not yet": every
-stop rests on a full solve that passes, and that solve is the spectrum
-:func:`tridiag_eigen` returns, so the stop comes at the same step as with a
-full solve at every check, with the same Ritz spectrum.
+check needs only one heavy pair still above it. So a check remembers the
+slowest heavy pair it found unconverged, and the next one first solves
+only the Ritz pairs near that one, by bisection and inverse iteration in
+O(k) per pair (Parlett, The Symmetric Eigenvalue Problem), and fails at
+once when one of them is still heavy and unconverged by a fixed margin.
+That shortcut can only say "not yet": every stop rests on a full solve
+that passes, and that solve is the spectrum :func:`tridiag_eigen` returns,
+so the stop comes at the same step as with a full solve at every check,
+with the same Ritz spectrum.
 
 Every step applies full reorthogonalization against the Krylov basis:
 floating-point Lanczos otherwise loses orthogonality quickly and returns
@@ -68,10 +69,6 @@ CHECK_EVERY = 8
 #: operator inputs; a margin of 1.2 left 0.4 to 1.1 more full solves per
 #: call there.
 SHORTCUT_MARGIN = 1.01
-
-#: The windowed solve looks at no more than this many unconverged pairs per
-#: check, and only at windows holding no more than this many Ritz values.
-SHORTCUT_PAIRS = 4
 
 _OVERFLOW = "the Lanczos recurrence overflows float64; rescale the operator"
 
@@ -211,18 +208,16 @@ def _ritz_pairs(alpha: np.ndarray, beta: np.ndarray, residual: float):
 
 def _window_pairs(alpha, beta, residual: float, lo: float, hi: float):
     """Ritz values in (lo, hi] of the tridiagonal (alpha, beta), their
-    weights and Paige bounds; None when the window holds none or more than
-    SHORTCUT_PAIRS, or when LAPACK reports a failure.
+    weights and Paige bounds (empty arrays when it holds none); None when
+    LAPACK reports a failure.
 
-    Bisection (dstebz) finds the values and inverse iteration (dstein) their
-    eigenvectors, in O(k) per pair instead of the full solve's O(k^2).
+    Bisection (dstebz, tolerance 0: to full accuracy) finds the values and
+    inverse iteration (dstein) their eigenvectors, in O(k) per pair instead
+    of the full solve's O(k^2).
     """
-    dstebz = scipy_routine("lapack", "stebz")
-    # a bisection tolerance as wide as the window only counts the values
-    m, *_, info = dstebz(alpha, beta, 1, lo, hi, 0, 0, hi - lo, b"B")
-    if info != 0 or not 0 < m <= SHORTCUT_PAIRS:
-        return None
-    m, lam, iblock, isplit, info = dstebz(alpha, beta, 1, lo, hi, 0, 0, 0.0, b"B")
+    m, lam, iblock, isplit, info = scipy_routine("lapack", "stebz")(
+        alpha, beta, 1, lo, hi, 0, 0, 0.0, b"B"
+    )
     if info != 0:
         return None
     vec, info = scipy_routine("lapack", "stein")(alpha, beta, lam[:m], iblock, isplit)
@@ -235,36 +230,34 @@ def _ritz_check(alpha, beta, residual: float, tol: float, min_weight: float, lat
     """One Ritz stop check of the tridiagonal (alpha, beta) whose last
     recurrence residual is ``residual``.
 
-    ``late`` holds (Ritz value, Paige bound) of the heavy pairs the previous
-    check found unconverged. First only the Ritz pairs within each bound of
-    its value are solved: one of them of weight at least SHORTCUT_MARGIN *
-    ``min_weight`` and bound above SHORTCUT_MARGIN * ``tol`` is a heavy,
-    unconverged pair of the full solve too, so the check fails without it.
-    Otherwise the full tridiagonal is solved. Returns its Ritz values,
-    weights and bounds when every pair of weight at least ``min_weight`` has
-    bound at most ``tol`` (else None), and the heavy unconverged pairs found.
+    ``late`` is (Ritz value, Paige bound) of the slowest heavy unconverged
+    pair the previous check found, or None. First only the Ritz pairs within
+    that bound of that value are solved: one of them of weight at least
+    SHORTCUT_MARGIN * ``min_weight`` and bound above SHORTCUT_MARGIN *
+    ``tol`` is a heavy, unconverged pair of the full solve too, so the check
+    fails without it. Otherwise the full tridiagonal is solved. Returns its
+    Ritz values, weights and bounds when every pair of weight at least
+    ``min_weight`` has bound at most ``tol`` (else None), and the slowest
+    heavy unconverged pair of the pairs solved (else None): the one with the
+    largest bound.
     """
-    for i, (theta, bound) in enumerate(late):
+    pairs = None
+    if late is not None:
+        theta, bound = late
         pairs = _window_pairs(alpha, beta, residual, theta - bound, theta + bound)
-        if pairs is None:
-            continue
-        lam, weights, bounds = pairs
-        if ((weights >= SHORTCUT_MARGIN * min_weight) & (bounds > SHORTCUT_MARGIN * tol)).any():
-            # the pairs not looked at yet stay recorded for the next check
-            found = _late_pairs(lam, weights, bounds, tol, min_weight) + late[i + 1 :]
-            return None, found[:SHORTCUT_PAIRS]
-    pairs = _ritz_pairs(alpha, beta, residual)
-    late = _late_pairs(*pairs, tol, min_weight)
-    return (None if late else pairs), late
-
-
-def _late_pairs(lam, weights, bounds, tol: float, min_weight: float) -> list:
-    """(Ritz value, Paige bound) of the SHORTCUT_PAIRS pairs of weight at
-    least ``min_weight`` with the largest bounds above ``tol``, largest (so
-    slowest to converge) first."""
-    found = np.flatnonzero((weights >= min_weight) & (bounds > tol))
-    found = found[np.argsort(-bounds[found], kind="stable")][:SHORTCUT_PAIRS]
-    return list(zip(lam[found], bounds[found]))
+        if pairs is not None:
+            _, weights, bounds = pairs
+            margin = (weights >= SHORTCUT_MARGIN * min_weight) & (bounds > SHORTCUT_MARGIN * tol)
+            pairs = pairs if margin.any() else None
+    if pairs is None:
+        pairs = _ritz_pairs(alpha, beta, residual)
+    lam, weights, bounds = pairs
+    # weights and bounds are nonnegative, so a pair past the margin is late too
+    late = np.flatnonzero((weights >= min_weight) & (bounds > tol))
+    if late.size == 0:
+        return pairs, None
+    slowest = late[np.argmax(bounds[late])]
+    return None, (lam[slowest], bounds[slowest])
 
 
 # an overflow in H q or in the recurrence raises NumericError below, not a warning
@@ -316,7 +309,7 @@ def lanczos_tridiag(
     breakdown = False
     residual = 0.0
     ritz = None
-    late: list[tuple[float, float]] = []
+    late = None  # the slowest heavy unconverged Ritz pair of the last check
 
     for j in range(k):
         w = op.apply(q)

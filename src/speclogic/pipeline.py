@@ -250,14 +250,13 @@ class RunResult:
 
 
 class SweepResult(NamedTuple):
-    """Outcome of the automatic order sweep: the chosen orders, the
-    relative residual of their re-expansion and their fit ``rational``."""
+    """Outcome of the automatic order sweep: the chosen fit ``rational``
+    (its orders are ``rational.m`` and ``rational.n``) and the relative
+    residual of its re-expansion."""
 
-    m: int
-    n: int
+    rational: RationalApprox
     residual: float
     converged: bool
-    rational: RationalApprox
 
 
 def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
@@ -278,7 +277,7 @@ def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
     nrm2 = scipy_routine("blas", "nrm2")
     scale = float(nrm2(c))
     if scale == 0:
-        return SweepResult(0, 1, 0.0, True, fit_pade(c, 0, 1))
+        return SweepResult(fit_pade(c, 0, 1), 0.0, True)
     best: SweepResult | None = None
     for n in range(1, min(n_max, c.size // 2) + 1):
         m = n - 1
@@ -293,7 +292,7 @@ def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
         residual = float(nrm2(tail - c)) / scale
         if not math.isfinite(residual):
             residual = math.inf
-        candidate = SweepResult(m, n, residual, residual <= residual_tol, r)
+        candidate = SweepResult(r, residual, residual <= residual_tol)
         if candidate.converged:
             return candidate
         if best is None or residual < best.residual:
@@ -315,16 +314,15 @@ def _pade_z(x: TimeSeries, pade: PadeSettings) -> SparseSpectrum:
     scale = unit_scale(x.samples)
     c = x.samples / scale
     if pade.auto:
-        m, n, residual, converged, rational = auto_order_sweep(c, pade.n_max, PADE_RESIDUAL_TOL)
+        rational, residual, converged = auto_order_sweep(c, pade.n_max, PADE_RESIDUAL_TOL)
     else:
-        m, n, residual, converged = pade.m, pade.n, None, None
-        rational = fit_pade(c, m, n)
+        rational, residual, converged = fit_pade(c, pade.m, pade.n), None, None
     poles = extract_poles(rational)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         modes = PoleSet(1.0 / poles.poles, -poles.residues / poles.poles)
     sp = atoms_from_poles(modes, x.dt, c, scale)
-    reported = sp.residual_norm, sp.dropped, pade.auto, (m, n), poles.multiple_poles
-    return replace(sp, health=FitHealth("pade_z", *reported, residual, converged))
+    fit = pade.auto, (rational.m, rational.n), poles.multiple_poles, residual, converged
+    return replace(sp, health=FitHealth("pade_z", sp.residual_norm, sp.dropped, *fit))
 
 
 def _estimate(series: list[TimeSeries], cfg: PipelineConfig) -> list[SparseSpectrum]:
@@ -371,7 +369,7 @@ def _atoms_from_ritz(
     residual = max(0.0, 1.0 - float(ritz.weights[kept].sum()))
     bound = float(np.max(ritz.bounds[kept[ritz.weights[kept] >= eps]], initial=0.0))
     health = FitHealth("lanczos", residual, steps=tri.k, breakdown=tri.breakdown, ritz_bound=bound)
-    return SparseSpectrum.from_atoms(atoms, residual, health=health)
+    return SparseSpectrum.from_atoms(atoms, health)
 
 
 class _stage:
@@ -422,14 +420,16 @@ def run(x: TimeSeries, cfg: PipelineConfig, estimate: SparseSpectrum | None = No
     With ``estimate``, the spectrum, health record and all, that the batch
     estimate step gave for ``x`` (see :func:`detect_anomalies`), the run
     neither preprocesses nor estimates ``x`` and gives the result a run
-    without it would.
+    without it would. A spectrum whose record names no back-end, such as one
+    read from JSON, came from no fit and raises :class:`InputError`.
     """
     with _stage("rules"):
         ruleset = cfg.load_ruleset()
-    if estimate is None:
-        pre = _preprocessed(x, cfg)
-        with _stage("estimate"):
-            (estimate,) = _estimate([pre], cfg)
+    with _stage("estimate"):
+        if estimate is None:
+            (estimate,) = _estimate([_preprocessed(x, cfg)], cfg)
+        elif estimate.health.backend is None:
+            raise InputError("the estimate carries no fit's health record; pass a fitted spectrum")
     diagnostics = {"preprocess": {"samples": len(x)}, "estimate": estimate.health.to_dict()}
     return _finish(estimate, cfg, ruleset, diagnostics)
 

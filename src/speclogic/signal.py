@@ -175,6 +175,15 @@ def read_json(path: str | Path):
         raise InputError(f"{path}: JSON nested too deeply") from None
 
 
+def json_numbers(values) -> bool:
+    """Whether every item of ``values`` is a number as JSON has them: an int
+    or a float, not a bool or a string. It checks each distinct type once."""
+    return all(
+        issubclass(kind, (int, float)) and not issubclass(kind, bool)
+        for kind in {type(v) for v in values}
+    )
+
+
 def load_timeseries_csv(path: str | Path) -> TimeSeries:
     """Read a ``t,value`` CSV with uniform time spacing.
 
@@ -248,9 +257,17 @@ def save_timeseries_csv(x: TimeSeries, path: str | Path) -> None:
 
 
 def load_timeseries_json(path: str | Path) -> TimeSeries:
-    """Read a ``{dt, samples, label}`` JSON record."""
+    """Read a ``{dt, samples, label}`` JSON record: ``dt`` a number,
+    ``samples`` a list of numbers and ``label``, if given, a string or null."""
     record = read_json(path)
     if not isinstance(record, dict) or "dt" not in record or "samples" not in record:
         raise InputError(f"{path}: expected an object with 'dt' and 'samples'")
-    return TimeSeries(record["samples"], record["dt"], record.get("label"))
+    samples, dt, label = record["samples"], record["dt"], record.get("label")
+    if not (isinstance(samples, list) and json_numbers(samples)):
+        raise InputError(f"{path}: 'samples' must be a list of numbers")
+    if not json_numbers([dt]):
+        raise InputError(f"{path}: 'dt' must be a number, got {dt!r}")
+    if not (label is None or isinstance(label, str)):
+        raise InputError(f"{path}: 'label' must be a string or null, got {label!r}")
+    return TimeSeries(samples, dt, label)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .pade import PoleSet
-from .signal import TimeSeries, norm2, unit_scale
+from .signal import TimeSeries, json_numbers, norm2, unit_scale
 
 #: Default relative singular-value cutoff for pencil order selection.
 SV_TOL_DEFAULT = 1e-8
@@ -87,9 +87,12 @@ class LorentzianAtom:
 
 
 class FitHealth(NamedTuple):
-    """A fit's report on itself: each back-end fills the fields that name it; the rest are None."""
+    """A fit's report on itself: each back-end fills the fields that name it;
+    the rest are None. ``backend`` None marks a record no fit produced: that
+    of a spectrum read from JSON, built by :meth:`SparseSpectrum.from_atoms`
+    or mapped by :func:`atoms_from_poles`."""
 
-    backend: str
+    backend: str | None
     residual_norm: float
     dropped: int | None = None  # matrix_pencil, pade_z
     auto: bool | None = None  # pade_z
@@ -109,20 +112,19 @@ class FitHealth(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SparseSpectrum:
-    """Atoms sorted by center frequency plus fit diagnostics.
+    """Atoms sorted by center frequency plus the producing fit's :class:`FitHealth`.
 
-    ``residual_norm`` is what the producing fit left unexplained: for a
-    signal, the 2-norm of the samples minus the kept modes; for a Ritz
-    spectrum, the share of the start vector's spectral weight the kept atoms
-    leave out; 0 without a target. ``dropped`` counts candidate modes
-    discarded as growing, undamped or amplitude-free. ``health`` is the
-    producing fit's :class:`FitHealth`; a spectrum read from JSON has none.
+    ``residual_norm`` and ``dropped`` read that record. ``residual_norm`` is
+    what the fit left unexplained: for a signal, the 2-norm of the samples
+    minus the kept modes; for a Ritz spectrum, the share of the start
+    vector's spectral weight the kept atoms leave out; 0 without a target.
+    ``dropped`` counts candidate modes discarded as growing, undamped or
+    amplitude-free, 0 where the record holds None. A spectrum read from JSON
+    holds ``FitHealth(None, residual_norm)``.
     """
 
     atoms: tuple[LorentzianAtom, ...]
-    residual_norm: float = 0.0
-    dropped: int = 0
-    health: FitHealth | None = None
+    health: FitHealth = FitHealth(None, 0.0)
     converged = True  # not a field: no producer iterates, and the benchmark reads it
 
     def __post_init__(self):
@@ -137,20 +139,24 @@ class SparseSpectrum:
     def __len__(self) -> int:
         return len(self.atoms)
 
+    @property
+    def residual_norm(self) -> float:
+        return self.health.residual_norm
+
+    @property
+    def dropped(self) -> int:
+        return self.health.dropped or 0
+
     @classmethod
     def from_atoms(
-        cls,
-        atoms: Sequence[LorentzianAtom],
-        residual_norm: float = 0.0,
-        dropped: int = 0,
-        health: FitHealth | None = None,
+        cls, atoms: Sequence[LorentzianAtom], health: FitHealth = FitHealth(None, 0.0)
     ) -> "SparseSpectrum":
         """Sort atoms by (omega, gamma). Close atoms are all kept: a fixed
         merge tolerance would depend on the input's scale, and each producer
         already collapses what is one resonance (a conjugate partner in
         :func:`atoms_from_poles`)."""
         ordered = sorted(atoms, key=lambda at: (at.omega, at.gamma))
-        return cls(tuple(ordered), float(residual_norm), dropped, health)
+        return cls(tuple(ordered), health)
 
     def to_dict(self) -> dict:
         return {
@@ -162,12 +168,14 @@ class SparseSpectrum:
 
     @classmethod
     def from_dict(cls, record: dict) -> "SparseSpectrum":
+        """Inverse of :meth:`to_dict`; every value must be a JSON number."""
         try:
-            atoms = [
-                LorentzianAtom(float(a["omega"]), float(a["gamma"]), float(a["amp"]))
-                for a in record["atoms"]
-            ]
-            return cls.from_atoms(atoms, float(record.get("residual_norm", 0.0)))
+            params = [(a["omega"], a["gamma"], a["amp"]) for a in record["atoms"]]
+            residual = record.get("residual_norm", 0.0)
+            if not json_numbers([residual, *(v for p in params for v in p)]):
+                raise TypeError("atom parameters and residual_norm must be numbers")
+            atoms = [LorentzianAtom(*p) for p in params]
+            return cls.from_atoms(atoms, FitHealth(None, float(residual)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad sparse-spectrum record: {exc}") from None
 
@@ -251,7 +259,9 @@ def atoms_from_poles(
     scale. Given the ``samples``, ``residual_norm`` is scale * ||samples -
     sum of kept modes (with partners)||: the input's norm when every mode is
     dropped, 0 without samples, and a :class:`NumericError` when it
-    overflows float64.
+    overflows float64. The spectrum's :class:`FitHealth` holds the residual
+    and the drop count, and no ``backend``: these modes came from no fit of
+    this function.
     """
     if not dt > 0:
         raise InputError(f"dt must be positive, got {dt}")
@@ -260,7 +270,7 @@ def atoms_from_poles(
     if samples is not None:
         model = np.vander(modes.poles[kept], samples.size, increasing=True).T @ modes.residues[kept]
         residual = _residual_norm(samples - model, scale)
-    return SparseSpectrum.from_atoms(atoms, residual, dropped)
+    return SparseSpectrum.from_atoms(atoms, FitHealth(None, residual, dropped))
 
 
 @functools.lru_cache(maxsize=8)
@@ -413,8 +423,7 @@ def fit_matrix_pencil(
         models = vand @ np.where(kept, coeffs, 0)[:, :, None]
         for i, (atoms, _, dropped), model in zip(group, keeps, models):
             residual = _residual_norm(s[i] - model[:, 0], scales[i])
-            health = FitHealth("matrix_pencil", residual, dropped)
-            fits[i] = SparseSpectrum.from_atoms(atoms, residual, dropped, health)
+            fits[i] = SparseSpectrum.from_atoms(atoms, FitHealth("matrix_pencil", residual, dropped))
     return fits[0] if single else fits
 
 

@@ -309,6 +309,14 @@ def test_estimate_ignores_rules(workdir):
     assert json.loads(atoms.read_text()) == json.loads(out.read_text())["atoms"]
 
 
+#: A decaying signal long enough for the default pencil.
+DECAY = [0.9**i for i in range(32)]
+
+
+def _signal_json(samples, dt=0.05, **extra) -> bytes:
+    return json.dumps({"dt": dt, "samples": samples, **extra}).encode()
+
+
 @pytest.mark.parametrize(
     "name, content, command",
     [
@@ -332,11 +340,28 @@ def test_estimate_ignores_rules(workdir):
         ("probe.json", json.dumps({"dt": 2e-308, "samples": [(-0.5) ** i + 0.3 * 0.9 ** i
                                                             for i in range(64)]}).encode(),
          ["estimate", "--spectrum-out", "{dir}/spec.csv", "--input"]),
+        # JSON numbers only: numpy would read each of these as floats
+        ("probe.json", _signal_json([str(v) for v in DECAY], dt="0.05"), ["run", "--input"]),
+        ("probe.json", _signal_json([i % 2 == 0 for i in range(32)]), ["run", "--input"]),
+        ("probe.json", _signal_json([True] + DECAY[1:]), ["run", "--input"]),
+        ("probe.json", _signal_json(DECAY, dt="0.05"), ["run", "--input"]),
+        ("probe.json", _signal_json(DECAY, label=7), ["run", "--input"]),
+        ("probe.json", b'{"atoms": [{"omega": "1.0", "gamma": 0.5, "amp": 1.0}]}',
+         ["project", "--atoms"]),
+        ("probe.json", b'{"atoms": [{"omega": 1.0, "gamma": true, "amp": 1.0}]}',
+         ["project", "--atoms"]),
+        ("probe.json", b'{"atoms": [{"omega": 1.0, "gamma": 0.5, "amp": "1"}]}',
+         ["project", "--atoms"]),
+        ("probe.json", b'{"atoms": [], "residual_norm": "0.5"}', ["project", "--atoms"]),
+        ("probe.json", b'{"atoms": [], "residual_norm": false}', ["project", "--atoms"]),
     ],
     ids=["signal_json_not_utf8", "signal_csv_not_utf8", "config_not_utf8", "atoms_not_utf8",
          "rules_not_utf8", "facts_not_utf8", "deeply_nested_json", "sample_not_number",
          "samples_a_string", "infinite_time", "time_step_overflows", "omega_past_float64",
-         "residual_norm_past_float64", "spectrum_range_past_float64"],
+         "residual_norm_past_float64", "spectrum_range_past_float64",
+         "string_samples_and_dt", "boolean_samples", "boolean_among_float_samples",
+         "dt_a_string", "label_a_number", "omega_a_string", "gamma_a_boolean", "amp_a_string",
+         "residual_norm_a_string", "residual_norm_a_boolean"],
 )
 def test_malformed_input_file_exits_2(workdir, capsys, name, content, command):
     (workdir / "facts.json").write_text('["a"]')

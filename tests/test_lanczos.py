@@ -14,7 +14,7 @@ from speclogic import (
     lanczos_tridiag,
     tridiag_eigen,
 )
-from speclogic.lanczos import CHECK_EVERY
+from speclogic.lanczos import CHECK_EVERY, SHORTCUT_MARGIN, _ritz_check
 
 
 def random_symmetric(rng, dim):
@@ -339,6 +339,36 @@ def test_ritz_stop_solves_fewer_tridiagonals_than_it_checks(heavy_pair_operator,
     checks = t.k // CHECK_EVERY
     assert checks >= 4
     assert len(solves) < checks
+
+
+def test_ritz_check_fails_on_a_wide_window_without_the_full_solve(
+    heavy_pair_operator, monkeypatch
+):
+    h, q1 = heavy_pair_operator(np.random.default_rng(43), 400)
+    t = lanczos_tridiag(HermitianOp.from_dense(h), q1, 2 * CHECK_EVERY)
+    tol, min_weight, k = 0.005, 0.1, CHECK_EVERY
+    # the first check solves the whole tridiagonal and remembers its slowest heavy pair
+    ritz, late = _ritz_check(t.alpha[:k], t.beta[: k - 1], t.beta[k - 1], tol, min_weight, None)
+    assert ritz is None
+    theta, bound = late
+    # one check later, that pair's window holds more than four Ritz values,
+    # one of them heavy and unconverged past the margin
+    spec = tridiag_eigen(t)
+    window = (spec.lambdas > theta - bound) & (spec.lambdas <= theta + bound)
+    heavy = (spec.weights >= SHORTCUT_MARGIN * min_weight) & (spec.bounds > SHORTCUT_MARGIN * tol)
+    assert window.sum() > 4 and (window & heavy).any()
+
+    def no_full_solve(*args, **kwargs):
+        raise AssertionError("the windowed solve settles this check")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_full_solve)
+    ritz, late = _ritz_check(t.alpha, t.beta, t.residual, tol, min_weight, late)
+    assert ritz is None
+    # the remembered pair is the window's slowest heavy unconverged one
+    found = np.flatnonzero(window & (spec.weights >= min_weight) & (spec.bounds > tol))
+    slowest = found[np.argmax(spec.bounds[found])]
+    assert late[0] == pytest.approx(spec.lambdas[slowest], abs=1e-12)
+    assert late[1] == pytest.approx(spec.bounds[slowest], rel=1e-9)
 
 
 def test_basis_memory_follows_the_steps():

@@ -559,21 +559,21 @@ def test_detect_errors_stay_typed():
 def test_auto_order_sweep_one_pole():
     series = 0.8 ** np.arange(30)
     sweep = auto_order_sweep(series, 6, 1e-8)
-    assert (sweep.m, sweep.n) == (0, 1)
+    assert (sweep.rational.m, sweep.rational.n) == (0, 1)
     assert sweep.converged
 
 
 def test_auto_order_sweep_infinite_tolerance():
     rng = np.random.default_rng(2)
     sweep = auto_order_sweep(rng.standard_normal(40), 5, np.inf)
-    assert sweep.n == 1 and sweep.converged
+    assert sweep.rational.n == 1 and sweep.converged
 
 
 def test_auto_order_sweep_noise_falls_back():
     rng = np.random.default_rng(0)
     sweep = auto_order_sweep(rng.standard_normal(40), 4, 1e-8)
     assert not sweep.converged
-    assert 1 <= sweep.n <= 4
+    assert 1 <= sweep.rational.n <= 4
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
@@ -582,7 +582,7 @@ def test_auto_order_sweep_is_scale_invariant(scale):
     # RuntimeWarning (an overflowing norm) fails the test
     t = 0.1 * np.arange(64)
     sweep = auto_order_sweep(scale * np.exp(-0.2 * t) * np.cos(3.0 * t), 8, 1e-8)
-    assert (sweep.m, sweep.n) == (1, 2)
+    assert (sweep.rational.m, sweep.rational.n) == (1, 2)
     assert sweep.converged
     assert sweep.residual <= 1e-8
 
@@ -604,15 +604,14 @@ def test_auto_order_sweep_nan_residual_is_never_best(monkeypatch):
     monkeypatch.setattr(pipeline, "taylor_coefficients", nan_at_order_one)
     rng = np.random.default_rng(0)
     sweep = auto_order_sweep(rng.standard_normal(40), 4, 1e-8)
-    assert sweep.n != 1
+    assert sweep.rational.n != 1
     assert np.isfinite(sweep.residual)
 
 
 def test_auto_order_sweep_returns_the_winning_fit():
     series = 0.8 ** np.arange(30)
     sweep = auto_order_sweep(series, 6, 1e-8)
-    direct = pipeline.fit_pade(series, sweep.m, sweep.n)
-    assert (sweep.rational.m, sweep.rational.n) == (sweep.m, sweep.n)
+    direct = pipeline.fit_pade(series, sweep.rational.m, sweep.rational.n)
     assert np.array_equal(sweep.rational.a, direct.a)
     assert np.array_equal(sweep.rational.b, direct.b)
 
@@ -642,7 +641,7 @@ def test_pade_auto_ill_conditioned_best_raises():
     # so the sweep passes over it to the best order it can fit
     series = [0.0, -1.0, -1.0, -1.0, -1.0, 1.0, 0.0]
     sweep = auto_order_sweep(series, 8, 1e-8)
-    assert (sweep.m, sweep.n) == (sweep.rational.m, sweep.rational.n) == (1, 2)
+    assert (sweep.rational.m, sweep.rational.n) == (1, 2)
     cfg = PipelineConfig(
         binning=wide_open_bins(),
         backend="pade_z",
@@ -732,13 +731,38 @@ def test_estimate_diagnostics_are_the_fit_health_record(heavy_pair_operator, bac
     assert record == result.atoms.health.to_dict()
     assert record["backend"] == backend == result.atoms.health.backend
     assert record["residual_norm"] == result.atoms.residual_norm
+    assert result.atoms.to_dict()["residual_norm"] == record["residual_norm"]
+    # the spectrum holds its scalars only in the record
+    with pytest.raises(TypeError):
+        dataclasses.replace(result.atoms, residual_norm=0.0)
     if "orders" in keys:
         assert [type(v) for v in record["orders"]] == [int, int]
     # only a series has a sample count
     assert set(result.diagnostics) == {"estimate", "project", "infer"} | (
         set() if backend == "lanczos" else {"preprocess"}
     )
-    assert SparseSpectrum.from_dict(result.atoms.to_dict()).health is None
+    back = SparseSpectrum.from_dict(result.atoms.to_dict())
+    assert back.health.backend is None
+    assert back.health.to_dict() == {"residual_norm": record["residual_norm"]}
+
+
+def test_run_refuses_an_estimate_no_fit_produced():
+    cfg = pencil_config("resonance_high => alert\n")
+    x = damped_cosine(2.6, 0.15)
+    fitted = run(x, cfg).atoms
+    z = np.exp((-0.15 + 2.6j) * x.dt)
+    mapped = pipeline.atoms_from_poles(PoleSet([z, z.conjugate()], [0.5, 0.5]), x.dt)
+    for estimate in (
+        SparseSpectrum.from_dict(fitted.to_dict()),
+        SparseSpectrum.from_atoms(fitted.atoms),
+        mapped,
+    ):
+        assert estimate.health.backend is None
+        with pytest.raises(InputError, match="no fit") as err:
+            run(x, cfg, estimate)
+        assert err.value.stage == "estimate"
+    # the fitted spectrum itself gives the run's result
+    assert run(x, cfg, fitted).to_json() == run(x, cfg).to_json()
 
 
 def test_config_json_roundtrip(tmp_path):

@@ -21,6 +21,7 @@ from speclogic import sparse
 from speclogic.sparse import (
     MAX_PENCIL_SAMPLES,
     SKETCH_OVERSAMPLE,
+    FitHealth,
     lorentzian_model_jacobian,
     unit_scale,
 )
@@ -507,8 +508,10 @@ def test_jacobian_matches_finite_differences():
 
 def test_spectrum_serialization_roundtrip():
     sp = SparseSpectrum.from_atoms(
-        [LorentzianAtom(1.0, 0.2, 1.5), LorentzianAtom(4.0, 0.6, 0.5)], residual_norm=0.25
+        [LorentzianAtom(1.0, 0.2, 1.5), LorentzianAtom(4.0, 0.6, 0.5)], FitHealth(None, 0.25)
     )
     back = SparseSpectrum.from_dict(sp.to_dict())
     assert back.atoms == sp.atoms
     assert back.residual_norm == 0.25
+    assert back.health == sp.health == FitHealth(None, 0.25)
+    assert back.dropped == 0

@@ -421,7 +421,9 @@ def run(x: TimeSeries, cfg: PipelineConfig, estimate: SparseSpectrum | None = No
     estimate step gave for ``x`` (see :func:`detect_anomalies`), the run
     neither preprocesses nor estimates ``x`` and gives the result a run
     without it would. A spectrum whose record names no back-end, such as one
-    read from JSON, came from no fit and raises :class:`InputError`.
+    read from JSON, came from no fit, and one that another back-end than
+    ``cfg.backend`` fitted is not this run's estimate; either raises
+    :class:`InputError`.
     """
     with _stage("rules"):
         ruleset = cfg.load_ruleset()
@@ -430,6 +432,11 @@ def run(x: TimeSeries, cfg: PipelineConfig, estimate: SparseSpectrum | None = No
             (estimate,) = _estimate([_preprocessed(x, cfg)], cfg)
         elif estimate.health.backend is None:
             raise InputError("the estimate carries no fit's health record; pass a fitted spectrum")
+        elif estimate.health.backend != cfg.backend:
+            raise InputError(
+                f"the estimate was fitted by {estimate.health.backend}, "
+                f"but the config's backend is {cfg.backend}"
+            )
     diagnostics = {"preprocess": {"samples": len(x)}, "estimate": estimate.health.to_dict()}
     return _finish(estimate, cfg, ruleset, diagnostics)
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced, svd_s
 
 from .errors import InputError, NumericError
 from .pade import PoleSet
@@ -290,6 +291,19 @@ def _test_matrix(rows: int, width: int, seed: int) -> np.ndarray:
     return test
 
 
+def _lapack_failed(err: str, flag: int):
+    """``np.errstate`` call handler: numpy's LAPACK gufuncs flag a failed
+    routine as an invalid operation, and this raises it as numpy's own
+    wrappers do."""
+    raise np.linalg.LinAlgError("LAPACK failed in the range finder's QR or SVD")
+
+
+def _orthonormal(a: np.ndarray) -> np.ndarray:
+    """Q of the thin QR factorization of each matrix of the stack ``a``,
+    which LAPACK overwrites with its Householder vectors."""
+    return qr_reduced(a, qr_r_raw(a))
+
+
 def _leading_svd(hank: np.ndarray, width: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading ``width`` singular values and right singular vectors of each
     matrix of the stack ``hank`` (W, m, k) by a randomized range finder with
@@ -304,18 +318,31 @@ def _leading_svd(hank: np.ndarray, width: int, seed: int) -> tuple[np.ndarray, n
     vectors are the right singular vectors of H within the sketched range,
     and it costs less than the SVD of the wide Q^T H. When ``width`` reaches
     ``min(m, k)`` the sketch spans the whole range and the result is the
-    exact thin SVD. The stacked numpy calls run the 2-d routine on each
-    matrix, so each result equals that of the matrix alone, bit for bit.
+    exact thin SVD.
+
+    The QR factorizations and the SVD call ``qr_r_raw``, ``qr_reduced`` and
+    ``svd_s``, the LAPACK gufuncs that ``np.linalg.qr`` and
+    ``np.linalg.svd(full_matrices=False)`` call, on the inputs those would
+    pass them, so the results are the wrappers' bit for bit, without their
+    input copy or the R factor ``qr`` builds. ``qr_r_raw`` overwrites its
+    input, so it only gets a product just formed here, never ``hank``. A
+    failed LAPACK call raises ``np.linalg.LinAlgError`` through the
+    ``np.errstate`` handler, as in the wrappers. Each stacked call runs the
+    2-d routine on each matrix, so each result equals that of the matrix
+    alone, bit for bit.
     """
     rows = hank.shape[2]
     draw = _test_matrix if rows * width <= MAX_CACHED_TEST_ENTRIES else _test_matrix.__wrapped__
     test = draw(rows, width, seed)
     hank_t = np.swapaxes(hank, 1, 2)
-    q, _ = np.linalg.qr(hank @ test)
-    for _ in range(POWER_ITERATIONS):
-        q, _ = np.linalg.qr(hank_t @ q)
-        q, _ = np.linalg.qr(hank @ q)
-    u, sv, _ = np.linalg.svd(hank_t @ q, full_matrices=False)
+    with np.errstate(
+        call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        q = _orthonormal(hank @ test)
+        for _ in range(POWER_ITERATIONS):
+            q = _orthonormal(hank_t @ q)
+            q = _orthonormal(hank @ q)
+        u, sv, _ = svd_s(hank_t @ q)
     return sv, np.swapaxes(u, 1, 2)
 
 
@@ -336,7 +363,9 @@ def fit_matrix_pencil(
     atom consumes a conjugate pair, i.e. two). The leading singular triplets
     of the Hankel matrix come from a randomized range finder of width
     ``max_modes + SKETCH_OVERSAMPLE`` whose Gaussian test matrix is drawn
-    from ``seed``, so equal seeds give identical output. The model order is
+    from ``seed``, so equal seeds give identical output; it calls numpy's
+    LAPACK gufuncs, not ``np.linalg.qr`` or ``np.linalg.svd`` (see
+    :func:`_leading_svd`). The model order is
     the number of those singular values with sigma_i/sigma_1 > ``sv_tol``,
     capped at ``max_modes``. Amplitudes come from the least-squares
     Vandermonde solve, and :func:`_keep_rule`, the keep rule of
@@ -345,7 +374,8 @@ def fit_matrix_pencil(
     The windows of a batch are grouped by model order, and each group makes
     one stacked call per step: the shift matrix and the Vandermonde
     coefficients are minimum-norm least-squares solves by ``np.linalg.pinv``
-    with the cutoff ``lstsq(rcond=None)`` uses, and the poles come from one
+    with ``rtol`` the cutoff ``lstsq(rcond=None)`` uses (eps times the
+    larger dimension), and the poles come from one
     ``np.linalg.eigvals``. The residuals come from the group's Vandermonde
     stack too: one stacked product with the coefficients, those of the
     modes the keep rule drops set to 0, gives each window's sum of kept
@@ -401,8 +431,7 @@ def fit_matrix_pencil(
         vh = vhs[group, :order]
         w0 = np.swapaxes(vh[:, :, :pencil], 1, 2)
         w1 = np.swapaxes(vh[:, :, 1:], 1, 2)
-        # rcond, not rtol: numpy 1.24 has no rtol
-        z = np.linalg.eigvals(np.linalg.pinv(w0, rcond=eps * pencil) @ w1)
+        z = np.linalg.eigvals(np.linalg.pinv(w0, rtol=eps * pencil) @ w1)
 
         # Artifact poles with exploding powers stay out of the Vandermonde
         # solve as zero columns and get coefficient 0; the keep rule drops
@@ -412,7 +441,7 @@ def fit_matrix_pencil(
         vand[:, 0] = solved
         vand[:, 1:] = np.where(solved, z, 0)[:, None]
         np.multiply.accumulate(vand[:, 1:], axis=1, out=vand[:, 1:])
-        coeffs = np.linalg.pinv(vand, rcond=eps * n) @ s[group, :, None]
+        coeffs = np.linalg.pinv(vand, rtol=eps * n) @ s[group, :, None]
         coeffs = np.where(solved, coeffs[:, :, 0], 0)
         keeps = [
             _keep_rule(zi, ci, windows[i].dt, scales[i]) for i, zi, ci in zip(group, z, coeffs)

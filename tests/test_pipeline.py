@@ -26,7 +26,7 @@ from speclogic import (
     run_hermitian,
 )
 from speclogic.benchmark import REGIME_NAMES, reference_config, synth_oscillator
-from speclogic import pipeline
+from speclogic import pipeline, sparse
 from speclogic.pade import PoleSet
 from speclogic.pipeline import LanczosSettings, PadeSettings, SparseSettings
 from speclogic.signal import PreprocessConfig, preprocess, read_json
@@ -275,13 +275,19 @@ def _failing_lapack(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "backend, routine", [("matrix_pencil", "svd"), ("pade_z", "lstsq"), ("pade_z", "eigvals")]
+    "backend, module, routine",
+    [
+        # the range finder calls numpy's SVD gufunc, not np.linalg.svd
+        pytest.param("matrix_pencil", sparse, "svd_s", id="matrix_pencil-svd"),
+        pytest.param("pade_z", np.linalg, "lstsq", id="pade_z-lstsq"),
+        pytest.param("pade_z", np.linalg, "eigvals", id="pade_z-eigvals"),
+    ],
 )
 def test_a_lapack_failure_is_a_convergence_error_of_the_estimate_stage(
-    monkeypatch, backend, routine
+    monkeypatch, backend, module, routine
 ):
     cfg = dataclasses.replace(reference_config(), backend=backend)
-    monkeypatch.setattr(np.linalg, routine, _failing_lapack)
+    monkeypatch.setattr(module, routine, _failing_lapack)
     with pytest.raises(ConvergenceError) as err:
         run(damped_cosine(2.0, 0.2), cfg)
     assert err.value.stage == "estimate"
@@ -763,6 +769,17 @@ def test_run_refuses_an_estimate_no_fit_produced():
         assert err.value.stage == "estimate"
     # the fitted spectrum itself gives the run's result
     assert run(x, cfg, fitted).to_json() == run(x, cfg).to_json()
+
+
+def test_run_refuses_an_estimate_another_backend_fitted():
+    x, _ = synth_oscillator("overdamped", 384, 0.05, 1)
+    pencil = reference_config()
+    fitted = run(x, pencil).atoms
+    assert fitted.health.backend == "matrix_pencil"
+    with pytest.raises(InputError, match="fitted by matrix_pencil") as err:
+        run(x, dataclasses.replace(pencil, backend="pade_z"), fitted)
+    assert err.value.stage == "estimate"
+    assert run(x, pencil, fitted).to_json() == run(x, pencil).to_json()
 
 
 def test_config_json_roundtrip(tmp_path):

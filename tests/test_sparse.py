@@ -449,6 +449,71 @@ def test_pencil_minimum_length_sketch_is_exact():
         assert atom.amp == pytest.approx(1.0, rel=1e-8)
 
 
+def _wrapped_leading_svd(hank, width, seed):
+    """The range finder of sparse._leading_svd through np.linalg.qr and
+    np.linalg.svd: the reference its direct LAPACK gufunc calls must equal."""
+    test = np.random.default_rng(seed).standard_normal((hank.shape[2], width))
+    hank_t = np.swapaxes(hank, 1, 2)
+    q, _ = np.linalg.qr(hank @ test)
+    for _ in range(sparse.POWER_ITERATIONS):
+        q, _ = np.linalg.qr(hank_t @ q)
+        q, _ = np.linalg.qr(hank @ q)
+    u, sv, _ = np.linalg.svd(hank_t @ q, full_matrices=False)
+    return sv, np.swapaxes(u, 1, 2)
+
+
+def _hankel_stack(windows):
+    """The pencil's (n - L) x (L + 1) Hankel matrix of each row, L = n // 2."""
+    windows = np.asarray(windows, dtype=float)
+    pencil = windows.shape[1] // 2
+    return np.lib.stride_tricks.sliding_window_view(windows, pencil + 1, axis=1).copy()
+
+
+def _stream(n):
+    return damped_cosines([(2.8, 0.1, 1.0), (3.5, 0.05, 0.3)], n=n).samples
+
+
+@pytest.mark.parametrize(
+    "windows, max_modes",
+    [
+        ([_stream(512)[16 * i : 16 * i + 128] for i in range(25)], 6),
+        ([_stream(384)], 6),
+        ([_stream(18)], 8),
+        ([np.zeros(128), np.ones(128), (-1.0) ** np.arange(128), _stream(128)], 6),
+    ],
+    ids=["detect_stack", "run_384", "minimum_length", "zero_constant_nyquist"],
+)
+def test_range_finder_equals_the_numpy_wrappers_bit_for_bit(windows, max_modes):
+    hank = _hankel_stack(windows)
+    before = hank.copy()
+    width = min(max_modes + SKETCH_OVERSAMPLE, *hank.shape[1:])
+    sv, vh = sparse._leading_svd(hank, width, 3)
+    assert np.array_equal(hank, before)  # only the products are factored in place
+    ref_sv, ref_vh = _wrapped_leading_svd(hank, width, 3)
+    assert sv.shape == (len(windows), width) and vh.shape == (len(windows), width, hank.shape[2])
+    assert np.array_equal(sv, ref_sv)
+    assert np.array_equal(vh, ref_vh)
+
+
+def test_range_finder_raises_a_lapack_failure_as_lin_alg_error():
+    hank = _hankel_stack([np.full(18, np.nan)])
+    with pytest.raises(np.linalg.LinAlgError, match="range finder"):
+        sparse._leading_svd(hank, 9, 0)
+
+
+def test_pencil_calls_neither_numpy_qr_nor_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pencil called a numpy.linalg wrapper it bypasses")
+
+    expected = fit_matrix_pencil(damped_cosines([(2.0, 0.5, 1.0)], n=384), 4)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    sp = fit_matrix_pencil(damped_cosines([(2.0, 0.5, 1.0)], n=384), 4)
+    assert spectrum_record(sp) == spectrum_record(expected)
+    windows = [TimeSeries(w, 0.05) for w in (_stream(128), np.zeros(128))]
+    assert len(fit_matrix_pencil(windows, 6)[0].atoms) == 2
+
+
 def test_pencil_multimode_recovery():
     rng = np.random.default_rng(13)
     for _ in range(10):

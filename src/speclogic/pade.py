@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvals, lstsq
 
 from .errors import IllConditionedError, InputError
 from .signal import norm2, scipy_routine
@@ -25,6 +26,8 @@ MOMENT_RESIDUAL_RTOL = 1e-6
 #: Two denominator roots closer than this, relative to the larger modulus,
 #: are flagged as a multiple pole.
 MULTIPLE_POLE_RTOL = 1e-6
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +64,14 @@ class RationalApprox:
 
 @dataclass(frozen=True, eq=False)
 class PoleSet:
-    """Poles and matching residues, sorted by (real, imaginary) part.
+    """Poles and matching residues, in matching order.
 
-    ``multiple_poles`` is set when two roots lie within 1e-6 of each other,
-    relative to the larger modulus; residues are then computed by the
-    simple-pole formula regardless and should be treated with suspicion.
+    :func:`extract_poles` sorts its poles by (real, imaginary) part; the
+    modes the ``pade_z`` back-end builds from inverted poles keep that order,
+    which is not sorted by their own parts. ``multiple_poles`` is set when
+    two roots lie within 1e-6 of each other, relative to the larger modulus;
+    residues are then computed by the simple-pole formula regardless and
+    should be treated with suspicion.
     """
 
     poles: np.ndarray
@@ -84,13 +90,54 @@ class PoleSet:
         return self.poles.size
 
 
+def _lstsq_failed(err: str, flag: int):
+    """``np.errstate`` call handler: numpy's LAPACK gufuncs flag a failed
+    routine as an invalid operation, and this raises it as ``np.linalg.lstsq``
+    does."""
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _eigvals_failed(err: str, flag: int):
+    """:func:`_lstsq_failed` with the message of ``np.linalg.eigvals``."""
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lstsq(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of the n x n system a x = rhs.
+
+    Calls LAPACK ``dgelsd`` by the ``lstsq`` gufunc of
+    ``numpy.linalg._umath_linalg`` with the signature and the cutoff
+    eps * n that ``np.linalg.lstsq(rcond=None)`` passes it, so the solution
+    is the wrapper's bit for bit, without its wrapper costs. A failed SVD
+    raises ``np.linalg.LinAlgError`` through the ``np.errstate`` handler, as
+    in the wrapper.
+    """
+    x, _, _, _ = lstsq(a, rhs[:, None], _EPS * a.shape[0], signature="ddd->ddid")
+    return x[:, 0]
+
+
+@np.errstate(call=_eigvals_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the real square matrix ``a`` by the ``eigvals`` gufunc
+    (LAPACK ``dgeev``) that ``np.linalg.eigvals`` calls, with its error
+    handler: complex, or real when every imaginary part is 0, as the wrapper
+    returns them."""
+    w = eigvals(a, signature="d->D")
+    return w if w.imag.any() else w.real
+
+
 def _polynomial_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
     """Companion-matrix roots of a polynomial whose constant term is nonzero;
     trailing near-zero coefficients are trimmed.
 
     With both end coefficients nonzero, this is the companion matrix
-    ``np.roots`` builds and the ``eigvals`` call it makes, so the roots equal
-    its roots bit for bit: complex, or real when every root is.
+    ``np.roots`` builds, and :func:`_eigvals` makes the call ``np.roots``
+    makes through ``np.linalg.eigvals``, so the roots equal its roots bit for
+    bit: complex, or real when every root is. The wrapper's finiteness check
+    has nothing to catch here: the trimmed leading coefficient is at least
+    1e-14 * max|q|, so every companion entry has modulus below 1e14 when the
+    coefficients are finite, as :class:`RationalApprox` checks they are.
     """
     mag = np.abs(coeffs_ascending)
     degree = np.nonzero(mag > 1e-14 * mag.max())[0][-1]
@@ -100,13 +147,15 @@ def _polynomial_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
     companion = np.zeros((degree, degree))
     companion.flat[degree :: degree + 1] = 1.0  # ones below the diagonal
     companion[0] = -p[1:] / p[0]
-    return np.linalg.eigvals(companion)
+    return _eigvals(companion)
 
 
 def _horner(coeffs_ascending: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The polynomial at ``x`` by the Horner loop of ``np.polyval``."""
+    """The polynomial at ``x`` by the Horner loop of ``np.polyval``; the
+    coefficients are Python floats, which numpy casts to the values its own
+    float64 scalars give."""
     y = np.zeros_like(x)
-    for coeff in coeffs_ascending[::-1]:
+    for coeff in coeffs_ascending[::-1].tolist():
         y = y * x + coeff
     return y
 
@@ -114,9 +163,11 @@ def _horner(coeffs_ascending: np.ndarray, x: np.ndarray) -> np.ndarray:
 def fit_pade(c, m: int, n: int) -> RationalApprox:
     """Fit the [m/n] approximant to series coefficients ``c``.
 
-    The n x n moment matrix is a Toeplitz matrix gathered from a copy of
-    c_0..c_{m+n} padded with n leading zeros, which supplies c_k = 0 for
-    k < 0 when m < n; it is solved by least squares. The numerator is the
+    The n x n moment matrix is a Toeplitz view copied out of c_0..c_{m+n}:
+    of those coefficients themselves when m >= n-1, where every index m+i-j
+    is nonnegative (every order of the automatic sweep), or of a copy padded
+    with n leading zeros, which supplies c_k = 0 for k < 0, when m < n-1. It
+    is solved by least squares (:func:`_lstsq`). The numerator is the
     convolution of 1, b_1..b_n with c_0..c_m, truncated to m+1 terms.
 
     Requires at least m+n+1 coefficients. Raises
@@ -134,17 +185,20 @@ def fit_pade(c, m: int, n: int) -> RationalApprox:
         raise InputError("series coefficients must be finite")
 
     used = c[: m + n + 1]
-    scale = norm2(used)
     if n == 0:
         return RationalApprox(used[: m + 1].copy(), np.empty(0), m, n)
+    scale = norm2(used)
 
-    # rows[i-1, j-1] = c[m+i-j] for i, j = 1..n; padded[k + n] = c[k], 0 for k < 0.
-    # The Toeplitz view is copied: its product with b would skip BLAS gemv and
-    # round differently.
-    padded = np.concatenate((np.zeros(n), used))
-    rows = np.ndarray((n, n), buffer=padded, offset=8 * (m + n), strides=(8, -8)).copy()
+    # rows[i-1, j-1] = c[m+i-j] for i, j = 1..n. The view needs contiguous
+    # memory; in the padded copy, padded[k + n] = c[k], 0 for k < 0. The view
+    # is copied: its product with b would skip BLAS gemv and round differently.
+    if m >= n - 1:
+        base, first = np.ascontiguousarray(used), m
+    else:
+        base, first = np.concatenate((np.zeros(n), used)), m + n
+    rows = np.ndarray((n, n), buffer=base, offset=8 * first, strides=(8, -8)).copy()
     rhs = -c[m + 1 : m + n + 1]
-    b, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+    b = _lstsq(rows, rhs)
     residual = norm2(rows @ b - rhs)
     if residual > MOMENT_RESIDUAL_RTOL * scale:
         raise IllConditionedError(
@@ -152,7 +206,10 @@ def fit_pade(c, m: int, n: int) -> RationalApprox:
             residual,
         )
 
-    a = np.convolve(np.concatenate(([1.0], b)), c[: m + 1])[: m + 1]
+    denominator = np.empty(n + 1)
+    denominator[0] = 1.0
+    denominator[1:] = b
+    a = np.convolve(denominator, c[: m + 1])[: m + 1]
     return RationalApprox(a, b, m, n)
 
 
@@ -176,12 +233,14 @@ def taylor_coefficients(r: RationalApprox, count: int) -> np.ndarray:
     return d
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def extract_poles(r: RationalApprox) -> PoleSet:
     """Poles of the approximant with residues P(s_k)/Q'(s_k).
 
     Roots come from the companion matrix of the denominator. An order-0
     denominator yields an empty pole set. Roots closer than 1e-6 relative
-    raise the ``multiple_poles`` flag on the result instead of failing.
+    raise the ``multiple_poles`` flag on the result instead of failing; a
+    residue divided by a zero derivative is not finite, without a warning.
     """
     q = r.denominator
     roots = _polynomial_roots(q)
@@ -189,8 +248,7 @@ def extract_poles(r: RationalApprox) -> PoleSet:
         return PoleSet(np.empty(0, complex), np.empty(0, complex))
 
     dq = q[1:] * np.arange(1, q.size)  # derivative, ascending coefficients
-    with np.errstate(divide="ignore", invalid="ignore"):
-        residues = _horner(r.a, roots) / _horner(dq, roots)
+    residues = _horner(r.a, roots) / _horner(dq, roots)
 
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]

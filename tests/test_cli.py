@@ -5,6 +5,7 @@ import stat
 import numpy as np
 import pytest
 
+from speclogic import pade
 from speclogic.benchmark import reference_config
 from speclogic.cli import main
 from speclogic.rules import infer, load_rules, load_trace_json, replay
@@ -465,12 +466,19 @@ def test_run_past_the_pencil_maximum_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("backend", ["matrix_pencil", "pade_z"])
-def test_a_lapack_failure_exits_3(workdir, capsys, monkeypatch, backend):
+@pytest.mark.parametrize(
+    "backend, module",
+    [
+        pytest.param("matrix_pencil", np.linalg, id="matrix_pencil"),
+        # the Padé route calls numpy's eigvals gufunc, not np.linalg.eigvals
+        pytest.param("pade_z", pade, id="pade_z"),
+    ],
+)
+def test_a_lapack_failure_exits_3(workdir, capsys, monkeypatch, backend, module):
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    monkeypatch.setattr(module, "eigvals", failing)
     assert main(["run", "--input", str(workdir / "sig.csv"), "--backend", backend]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric error: [stage: estimate]") and "did not converge" in err

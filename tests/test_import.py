@@ -43,7 +43,8 @@ def test_import_and_the_pencil_path_load_no_scipy():
 
 def test_a_fixed_order_pade_fit_loads_no_scipy():
     # only the automatic order sweep (dtbtrs, nrm2) needs scipy.linalg; a
-    # fixed-order fit solves its moment system with np.linalg.lstsq
+    # fixed-order fit solves its moment system and takes its poles with
+    # numpy's lstsq and eigvals gufuncs
     _fresh(
         "import dataclasses, sys\n"
         "import numpy as np\n"
@@ -59,6 +60,23 @@ def test_a_fixed_order_pade_fit_loads_no_scipy():
         "assert len(speclogic.extract_poles(r)) >= 1\n"
         f"assert {SCIPY_LOADED} == [], {SCIPY_LOADED}\n"
     )
+
+
+def test_numpy_has_the_lapack_gufunc_loops_speclogic_calls():
+    # the range finder and the Padé route call these gufuncs of numpy's linalg
+    # extension with float64 loops; numpy 1.x split lstsq and the QR ones by shape
+    from numpy.linalg import _umath_linalg
+
+    loops = {
+        "lstsq": "ddd->ddid",
+        "eigvals": "d->D",
+        "qr_r_raw": "d->d",
+        "qr_reduced": "dd->d",
+        "svd_s": "d->ddd",
+    }
+    for name, loop in loops.items():
+        assert hasattr(_umath_linalg, name), name
+        assert loop in getattr(_umath_linalg, name).types, (name, loop)
 
 
 def test_the_pencil_path_loads_no_numpy_ma():

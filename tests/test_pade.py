@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -462,3 +463,43 @@ def test_polynomial_roots_keep_the_dtype_np_roots_returns():
         want = np.roots(q[: keep[-1] + 1][::-1])
         got = _polynomial_roots(q)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_fit_pade_of_a_strided_series_equals_that_of_its_copy():
+    # the Toeplitz view of m >= n-1 stands on the series itself, which must be contiguous
+    c = noisy_mode_series(0)[::3]
+    for m, n in [(2, 3), (5, 6), (1, 4)]:
+        got, want = fit_pade(c, m, n), fit_pade(c.copy(), m, n)
+        assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+
+
+def test_the_pade_route_calls_no_np_linalg_wrapper(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("an np.linalg wrapper was called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    t = np.arange(256) * 0.05
+    x = TimeSeries(np.exp(-0.2 * t) * np.cos(3.0 * t), 0.05)
+    for pade in (PadeSettings(auto=True, n_max=8), PadeSettings()):
+        result = run(x, replace(pade_auto_config(), pade=pade))
+        assert len(result.atoms.atoms) == 1
+    assert result.diagnostics["estimate"]["orders"] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "route, message",
+    [
+        pytest.param("_lstsq", "SVD did not converge in Linear Least Squares", id="lstsq"),
+        pytest.param("_eigvals", "Eigenvalues did not converge", id="eigvals"),
+    ],
+)
+def test_a_nan_matrix_fails_the_gufunc_route_with_numpys_error(route, message):
+    # dgelsd and dgeev flag a NaN matrix as an invalid operation, which the
+    # np.errstate handler raises as np.linalg.lstsq and np.linalg.eigvals do
+    from speclogic import pade
+
+    nan = np.full((3, 3), np.nan)
+    args = (nan, np.ones(3)) if route == "_lstsq" else (nan,)
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        getattr(pade, route)(*args)

@@ -26,7 +26,7 @@ from speclogic import (
     run_hermitian,
 )
 from speclogic.benchmark import REGIME_NAMES, reference_config, synth_oscillator
-from speclogic import pipeline, sparse
+from speclogic import pade, pipeline, sparse
 from speclogic.pade import PoleSet
 from speclogic.pipeline import LanczosSettings, PadeSettings, SparseSettings
 from speclogic.signal import PreprocessConfig, preprocess, read_json
@@ -277,10 +277,11 @@ def _failing_lapack(*args, **kwargs):
 @pytest.mark.parametrize(
     "backend, module, routine",
     [
-        # the range finder calls numpy's SVD gufunc, not np.linalg.svd
+        # the range finder and the Padé route call numpy's LAPACK gufuncs, not
+        # np.linalg.svd, np.linalg.lstsq or np.linalg.eigvals
         pytest.param("matrix_pencil", sparse, "svd_s", id="matrix_pencil-svd"),
-        pytest.param("pade_z", np.linalg, "lstsq", id="pade_z-lstsq"),
-        pytest.param("pade_z", np.linalg, "eigvals", id="pade_z-eigvals"),
+        pytest.param("pade_z", pade, "lstsq", id="pade_z-lstsq"),
+        pytest.param("pade_z", pade, "eigvals", id="pade_z-eigvals"),
     ],
 )
 def test_a_lapack_failure_is_a_convergence_error_of_the_estimate_stage(

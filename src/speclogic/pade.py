@@ -119,10 +119,10 @@ def _lstsq(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 @np.errstate(call=_eigvals_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the real square matrix ``a`` by the ``eigvals`` gufunc
-    (LAPACK ``dgeev``) that ``np.linalg.eigvals`` calls, with its error
-    handler: complex, or real when every imaginary part is 0, as the wrapper
-    returns them."""
+    """Eigenvalues of each real square matrix of ``a`` by the ``eigvals``
+    gufunc (LAPACK ``dgeev``) that ``np.linalg.eigvals`` calls, with its error
+    handler: complex, or real when every imaginary part in ``a`` is 0, as the
+    wrapper returns them."""
     w = eigvals(a, signature="d->D")
     return w if w.imag.any() else w.real
 

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced, svd_s
 
 from .errors import InputError, NumericError
-from .pade import PoleSet
+from .pade import _EPS, PoleSet, _eigvals
 from .signal import TimeSeries, json_numbers, norm2, unit_scale
 
 #: Default relative singular-value cutoff for pencil order selection.
@@ -223,15 +223,18 @@ def _keep_rule(
     """The keep rule over the unit-scale modes c_k * z_k^n: the atoms, the
     mask of kept modes, and the drop count.
 
-    :func:`_pole_atom` judges each mode once. A kept mode with Im z >= 0
-    becomes an atom; its conjugate partner of a real signal makes no atom of
-    its own, but is a kept mode or not by its own judgement. Each mode with
-    Im z >= 0 that becomes no atom counts as dropped. A mode whose amplitude
-    overflows only at input scale fails the whole fit: the other modes were
-    fitted alongside it and do not explain the input without it. Then every
-    mode is dropped.
+    :func:`_pole_atom` judges each mode once as Python scalars: numpy's libm
+    calls, faster. A kept mode with Im z >= 0 becomes an atom; its conjugate
+    partner of a real signal makes no atom of its own, but is a kept mode or
+    not by its own judgement. Each mode with Im z >= 0 that becomes no atom
+    counts as dropped. A mode whose amplitude overflows only at input scale
+    fails the whole fit: the other modes were fitted alongside it and do not
+    explain the input without it. Then every mode is dropped.
     """
-    params = [_pole_atom(z, res, dt, scale) for z, res in zip(poles, residues)]
+    try:
+        params = [_pole_atom(z, c, dt, scale) for z, c in zip(poles.tolist(), residues.tolist())]
+    except OverflowError:  # Python's abs of a finite complex, where numpy's gives inf
+        params = [_pole_atom(z, c, dt, scale) for z, c in zip(poles, residues)]
     if any(p is not None and math.isinf(p[2]) for p in params):
         params = [None] * len(params)
     kept = np.array([p is not None for p in params], dtype=bool)
@@ -295,13 +298,27 @@ def _lapack_failed(err: str, flag: int):
     """``np.errstate`` call handler: numpy's LAPACK gufuncs flag a failed
     routine as an invalid operation, and this raises it as numpy's own
     wrappers do."""
-    raise np.linalg.LinAlgError("LAPACK failed in the range finder's QR or SVD")
+    raise np.linalg.LinAlgError("LAPACK failed in the pencil's range finder or solves")
 
 
 def _orthonormal(a: np.ndarray) -> np.ndarray:
     """Q of the thin QR factorization of each matrix of the stack ``a``,
     which LAPACK overwrites with its Householder vectors."""
     return qr_reduced(a, qr_r_raw(a))
+
+
+def _min_norm_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.pinv(a, rtol=None) @ b`` by ``pinv``'s own steps, bit for
+    bit: ``svd_s`` of ``a.conj()``, then 1/s above eps * max(a.shape[-2:]) *
+    max(s), taken with ``initial=0`` for the empty s of an order-0 stack."""
+    with np.errstate(
+        call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        u, s, vt = svd_s(a.conj(), signature="D->DdD" if a.dtype == complex else "d->ddd")
+    large = s > max(a.shape[-2:]) * _EPS * s.max(axis=-1, keepdims=True, initial=0)
+    np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return np.matmul(vt.mT, s[..., None] * u.mT) @ b
 
 
 def _leading_svd(hank: np.ndarray, width: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -363,24 +380,22 @@ def fit_matrix_pencil(
     atom consumes a conjugate pair, i.e. two). The leading singular triplets
     of the Hankel matrix come from a randomized range finder of width
     ``max_modes + SKETCH_OVERSAMPLE`` whose Gaussian test matrix is drawn
-    from ``seed``, so equal seeds give identical output; it calls numpy's
-    LAPACK gufuncs, not ``np.linalg.qr`` or ``np.linalg.svd`` (see
-    :func:`_leading_svd`). The model order is
-    the number of those singular values with sigma_i/sigma_1 > ``sv_tol``,
-    capped at ``max_modes``. Amplitudes come from the least-squares
-    Vandermonde solve, and :func:`_keep_rule`, the keep rule of
-    :func:`atoms_from_poles`, maps the modes to atoms.
+    from ``seed``, so equal seeds give identical output (see
+    :func:`_leading_svd`). The model order is the number of those singular
+    values with sigma_i/sigma_1 > ``sv_tol``, capped at ``max_modes``.
+    Amplitudes come from the least-squares Vandermonde solve, and
+    :func:`_keep_rule`, the keep rule of :func:`atoms_from_poles`, maps the
+    modes to atoms.
 
     The windows of a batch are grouped by model order, and each group makes
     one stacked call per step: the shift matrix and the Vandermonde
-    coefficients are minimum-norm least-squares solves by ``np.linalg.pinv``
-    with ``rtol`` the cutoff ``lstsq(rcond=None)`` uses (eps times the
-    larger dimension), and the poles come from one
-    ``np.linalg.eigvals``. The residuals come from the group's Vandermonde
-    stack too: one stacked product with the coefficients, those of the
-    modes the keep rule drops set to 0, gives each window's sum of kept
-    modes. Each stacked call runs the 2-d routine on each matrix, so a
-    window's result is the same in any group.
+    coefficients come from :func:`_min_norm_solve` and the poles from
+    :func:`~speclogic.pade._eigvals`, with the results and checks of
+    ``np.linalg.pinv`` and ``np.linalg.eigvals``. The residuals come from
+    the group's Vandermonde stack too: one stacked product with the
+    coefficients, those of the modes the keep rule drops set to 0, gives
+    each window's sum of kept modes. Each stacked call runs the 2-d routine
+    on each matrix, so a window's result is the same in any group.
 
     The samples are divided by :func:`unit_scale` before any product is
     formed, so the fit is scale invariant; amplitudes and the residual norm
@@ -424,14 +439,14 @@ def fit_matrix_pencil(
     svs, vhs = _leading_svd(hank, width, seed)
     orders = np.minimum(np.count_nonzero(svs > sv_tol * svs[:, :1], axis=1), min(max_modes, pencil))
 
-    eps = np.finfo(float).eps
     fits = [None] * len(windows)
     for order in sorted(set(orders.tolist())):  # np.unique would load numpy.ma
         group = np.flatnonzero(orders == order)
-        vh = vhs[group, :order]
-        w0 = np.swapaxes(vh[:, :, :pencil], 1, 2)
-        w1 = np.swapaxes(vh[:, :, 1:], 1, 2)
-        z = np.linalg.eigvals(np.linalg.pinv(w0, rtol=eps * pencil) @ w1)
+        v = vhs[group, :order].mT
+        shift = _min_norm_solve(v[:, :pencil], v[:, 1:])
+        if not np.isfinite(shift).all():  # pinv overflows where max(s) is subnormal
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        z = _eigvals(shift)
 
         # Artifact poles with exploding powers stay out of the Vandermonde
         # solve as zero columns and get coefficient 0; the keep rule drops
@@ -441,7 +456,7 @@ def fit_matrix_pencil(
         vand[:, 0] = solved
         vand[:, 1:] = np.where(solved, z, 0)[:, None]
         np.multiply.accumulate(vand[:, 1:], axis=1, out=vand[:, 1:])
-        coeffs = np.linalg.pinv(vand, rtol=eps * n) @ s[group, :, None]
+        coeffs = _min_norm_solve(vand, s[group, :, None])
         coeffs = np.where(solved, coeffs[:, :, 0], 0)
         keeps = [
             _keep_rule(zi, ci, windows[i].dt, scales[i]) for i, zi, ci in zip(group, z, coeffs)

@@ -63,18 +63,20 @@ def test_a_fixed_order_pade_fit_loads_no_scipy():
 
 
 def test_numpy_has_the_lapack_gufunc_loops_speclogic_calls():
-    # the range finder and the Padé route call these gufuncs of numpy's linalg
-    # extension with float64 loops; numpy 1.x split lstsq and the QR ones by shape
+    # the matrix pencil and the Padé route call these gufuncs of numpy's linalg
+    # extension with float64 loops, and the pencil's Vandermonde solve svd_s
+    # with the complex128 one; numpy 1.x split lstsq and the QR ones by shape
     from numpy.linalg import _umath_linalg
 
-    loops = {
-        "lstsq": "ddd->ddid",
-        "eigvals": "d->D",
-        "qr_r_raw": "d->d",
-        "qr_reduced": "dd->d",
-        "svd_s": "d->ddd",
-    }
-    for name, loop in loops.items():
+    loops = [
+        ("lstsq", "ddd->ddid"),
+        ("eigvals", "d->D"),
+        ("qr_r_raw", "d->d"),
+        ("qr_reduced", "dd->d"),
+        ("svd_s", "d->ddd"),
+        ("svd_s", "D->DdD"),
+    ]
+    for name, loop in loops:
         assert hasattr(_umath_linalg, name), name
         assert loop in getattr(_umath_linalg, name).types, (name, loop)
 

@@ -277,9 +277,11 @@ def _failing_lapack(*args, **kwargs):
 @pytest.mark.parametrize(
     "backend, module, routine",
     [
-        # the range finder and the Padé route call numpy's LAPACK gufuncs, not
-        # np.linalg.svd, np.linalg.lstsq or np.linalg.eigvals
+        # both signal back-ends call numpy's LAPACK gufuncs, not np.linalg.svd,
+        # np.linalg.pinv, np.linalg.lstsq or np.linalg.eigvals; the pencil takes
+        # its poles through pade._eigvals
         pytest.param("matrix_pencil", sparse, "svd_s", id="matrix_pencil-svd"),
+        pytest.param("matrix_pencil", pade, "eigvals", id="matrix_pencil-eigvals"),
         pytest.param("pade_z", pade, "lstsq", id="pade_z-lstsq"),
         pytest.param("pade_z", pade, "eigvals", id="pade_z-eigvals"),
     ],

@@ -506,12 +506,161 @@ def test_pencil_calls_neither_numpy_qr_nor_svd(monkeypatch):
         raise AssertionError("the pencil called a numpy.linalg wrapper it bypasses")
 
     expected = fit_matrix_pencil(damped_cosines([(2.0, 0.5, 1.0)], n=384), 4)
-    monkeypatch.setattr(np.linalg, "qr", refuse)
-    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for wrapper in ("qr", "svd", "pinv", "eigvals"):
+        monkeypatch.setattr(np.linalg, wrapper, refuse)
     sp = fit_matrix_pencil(damped_cosines([(2.0, 0.5, 1.0)], n=384), 4)
     assert spectrum_record(sp) == spectrum_record(expected)
     windows = [TimeSeries(w, 0.05) for w in (_stream(128), np.zeros(128))]
     assert len(fit_matrix_pencil(windows, 6)[0].atoms) == 2
+
+
+def _low_rank_stack(rng, shape, rank, dtype):
+    """A stack of matrices of ``shape`` and, but for rounding, rank ``rank``."""
+    g, m, k = shape
+    left, right = rng.standard_normal((g, m, rank)), rng.standard_normal((g, rank, k))
+    if dtype is complex:
+        left = left + 1j * rng.standard_normal((g, m, rank))
+        right = right + 1j * rng.standard_normal((g, rank, k))
+    return left @ right
+
+
+def _graded_stack(rng, g, dtype):
+    """A stack of g 12 x 4 matrices with singular values 1, 1e-3, 2e-15 and
+    1e-16: the cutoff eps * 12 = 2.7e-15 zeroes the last two, a cutoff of
+    1e-15 would keep the third."""
+    def orthonormal(rows, cols):
+        z = rng.standard_normal((g, rows, cols))
+        return np.linalg.qr(z + 1j * rng.standard_normal(z.shape) if dtype is complex else z)[0]
+
+    return orthonormal(12, 4) * np.array([1.0, 1e-3, 2e-15, 1e-16]) @ orthonormal(4, 4).mT
+
+
+def _assert_solve_equals_pinv(a, b):
+    got = sparse._min_norm_solve(a, b)
+    eps = np.finfo(float).eps
+    for rtol in (None, eps * max(a.shape[-2:])):  # the cutoff of lstsq(rcond=None)
+        want = np.linalg.pinv(a, rtol=rtol) @ b
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+_RNG = np.random.default_rng(27)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        pytest.param(
+            _RNG.standard_normal((3, 192, 4)), _RNG.standard_normal((3, 192, 4)), id="shift"
+        ),
+        pytest.param(
+            _RNG.standard_normal((3, 384, 4)) + 1j * _RNG.standard_normal((3, 384, 4)),
+            _RNG.standard_normal((3, 384, 1)),
+            id="vandermonde",
+        ),
+        pytest.param(_RNG.standard_normal((5, 3)), _RNG.standard_normal((5, 2)), id="one_matrix"),
+        pytest.param(np.empty((3, 64, 0)), _RNG.standard_normal((3, 64, 1)), id="empty_real"),
+        pytest.param(np.empty((3, 64, 0), complex), np.ones((3, 64, 1)), id="empty_complex"),
+        pytest.param(_graded_stack(_RNG, 2, float), np.ones((2, 12, 3)), id="graded_real"),
+        pytest.param(
+            _graded_stack(_RNG, 2, complex), _RNG.standard_normal((2, 12, 3)), id="graded_complex"
+        ),
+    ],
+)
+def test_min_norm_solve_equals_pinv_bit_for_bit(a, b):
+    _assert_solve_equals_pinv(a, b)
+
+
+def test_min_norm_solve_equals_pinv_on_random_low_rank_stacks():
+    rng = np.random.default_rng(28)
+    for dtype in (float, complex):
+        for _ in range(100):
+            m, k = sorted(rng.integers(1, 40, 2).tolist(), reverse=True)
+            g, rank = int(rng.integers(1, 5)), int(rng.integers(1, k + 1))
+            b = rng.standard_normal((g, m, int(rng.integers(1, 4))))
+            _assert_solve_equals_pinv(_low_rank_stack(rng, (g, m, k), rank, dtype), b)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_graded_stacks_bind_the_solve_cutoff(dtype):
+    # the third singular value lies between 1e-15 and the cutoff, so the
+    # equalities above pin the cutoff rule, not only the zeroed reciprocals
+    s = np.linalg.svd(_graded_stack(np.random.default_rng(3), 4, dtype), compute_uv=False)
+    cutoff = np.finfo(float).eps * 12 * s[:, :1]
+    assert np.all(np.count_nonzero(s > cutoff, axis=1) == 2)
+    assert np.all(s[:, 2] > 1e-15 * s[:, 0])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_min_norm_solve_raises_a_lapack_failure_as_lin_alg_error(dtype):
+    a = np.full((2, 6, 3), np.nan, dtype=dtype)
+    with pytest.raises(np.linalg.LinAlgError, match="range finder or solves"):
+        sparse._min_norm_solve(a, np.ones((2, 6, 1)))
+
+
+def test_pencil_refuses_a_shift_matrix_that_is_not_finite():
+    # samples of 1e-310 beside a unit peak leave the shift solve a subnormal
+    # largest singular value, whose reciprocal overflows as in np.linalg.pinv;
+    # the shift matrix is then refused as np.linalg.eigvals refuses it
+    x = np.full(128, 1e-310)
+    x[-1] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # pinv's own overflow warnings
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            fit_matrix_pencil(TimeSeries(x, 0.05), 6)
+
+
+def _keep_rule_on_numpy_scalars(poles, residues, dt, scale):
+    """The keep rule judging each mode as numpy scalars: the reference."""
+    params = [sparse._pole_atom(z, c, dt, scale) for z, c in zip(poles, residues)]
+    if any(p is not None and math.isinf(p[2]) for p in params):
+        params = [None] * len(params)
+    kept = np.array([p is not None for p in params], dtype=bool)
+    partner = poles.imag < 0
+    atoms = [LorentzianAtom(*p) for p, twin in zip(params, partner) if p is not None and not twin]
+    return atoms, kept, int(np.count_nonzero(~partner & ~kept))
+
+
+_EDGE = sparse.UNSTABLE_MODULUS
+_MODULI = [np.nextafter(_EDGE, 0), _EDGE, np.nextafter(_EDGE, 2), 1e-12, np.nextafter(1e-12, 0)]
+
+
+@pytest.mark.parametrize(
+    "poles, residues, scale",
+    [
+        pytest.param(
+            np.array([r * np.exp(1j * a) for r in _MODULI for a in (0, 0.7, -0.7, np.pi)]),
+            np.full(20, 0.3 + 0.2j),
+            1.0,
+            id="edge_moduli",
+        ),
+        pytest.param(np.array(_MODULI + [0.5, -0.5]), np.ones(7, complex), 1.0, id="real_poles"),
+        pytest.param(  # the 0.9 mode's amplitude overflows only at input scale
+            np.array([0.9, 0.5 + 0.3j, 0.5 - 0.3j]),
+            np.ones(3, complex),
+            2.0**1020,
+            id="scale_overflow",
+        ),
+        pytest.param(
+            np.full(5, 0.5 + 0.5j),
+            np.array([np.inf, np.nan, complex(np.nan, np.inf), complex(np.inf, np.nan), 1.0]),
+            1.0,
+            id="non_finite_residues",
+        ),
+        pytest.param(  # |c| overflows though both parts are finite: Python's abs raises
+            np.array([0.5, 0.6j]),
+            np.array([1.5e308 + 1.5e308j, 1.0]),
+            1.0,
+            id="residue_modulus_overflow",
+        ),
+        pytest.param(np.empty(0), np.empty(0, complex), 1.0, id="no_modes"),
+    ],
+)
+def test_keep_rule_on_python_scalars_equals_numpy_scalars(poles, residues, scale):
+    atoms, kept, dropped = sparse._keep_rule(poles, residues, 1.0, scale)
+    want_atoms, want_kept, want_dropped = _keep_rule_on_numpy_scalars(poles, residues, 1.0, scale)
+    assert atoms == want_atoms
+    assert np.array_equal(kept, want_kept) and dropped == want_dropped
 
 
 def test_pencil_multimode_recovery():

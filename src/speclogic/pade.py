@@ -121,8 +121,8 @@ def _lstsq(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _eigvals(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of each real square matrix of ``a`` by the ``eigvals``
     gufunc (LAPACK ``dgeev``) that ``np.linalg.eigvals`` calls, with its error
-    handler: complex, or real when every imaginary part in ``a`` is 0, as the
-    wrapper returns them."""
+    handler: complex, or real when every eigenvalue of the whole stack has
+    imaginary part 0, as the wrapper returns them."""
     w = eigvals(a, signature="d->D")
     return w if w.imag.any() else w.real
 

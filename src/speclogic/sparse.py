@@ -223,18 +223,15 @@ def _keep_rule(
     """The keep rule over the unit-scale modes c_k * z_k^n: the atoms, the
     mask of kept modes, and the drop count.
 
-    :func:`_pole_atom` judges each mode once as Python scalars: numpy's libm
-    calls, faster. A kept mode with Im z >= 0 becomes an atom; its conjugate
-    partner of a real signal makes no atom of its own, but is a kept mode or
-    not by its own judgement. Each mode with Im z >= 0 that becomes no atom
-    counts as dropped. A mode whose amplitude overflows only at input scale
-    fails the whole fit: the other modes were fitted alongside it and do not
-    explain the input without it. Then every mode is dropped.
+    :func:`_pole_atom` judges each mode once. A kept mode with Im z >= 0
+    becomes an atom; its conjugate partner of a real signal makes no atom of
+    its own, but is a kept mode or not by its own judgement. Each mode with
+    Im z >= 0 that becomes no atom counts as dropped. A mode whose amplitude
+    overflows only at input scale fails the whole fit: the other modes were
+    fitted alongside it and do not explain the input without it. Then every
+    mode is dropped.
     """
-    try:
-        params = [_pole_atom(z, c, dt, scale) for z, c in zip(poles.tolist(), residues.tolist())]
-    except OverflowError:  # Python's abs of a finite complex, where numpy's gives inf
-        params = [_pole_atom(z, c, dt, scale) for z, c in zip(poles, residues)]
+    params = [_pole_atom(z, res, dt, scale) for z, res in zip(poles, residues)]
     if any(p is not None and math.isinf(p[2]) for p in params):
         params = [None] * len(params)
     kept = np.array([p is not None for p in params], dtype=bool)

@@ -6,6 +6,7 @@ report. Tolerances are pinned here and nowhere else.
 
 import time
 
+import criterion10
 import numpy as np
 import pytest
 
@@ -29,7 +30,7 @@ from speclogic import (
 )
 from speclogic.lanczos import TridiagResult
 from speclogic.pade import taylor_coefficients
-from speclogic.pipeline import PadeSettings, SparseSettings
+from speclogic.pipeline import PadeSettings
 from speclogic.sparse import LorentzianAtom, lorentzian_model_jacobian
 from speclogic.symbolic import BinAxis, BinningConfig
 
@@ -297,40 +298,18 @@ def test_criterion_9_rule_engine():
 
 def test_criterion_10_anomaly_harness():
     rng = np.random.default_rng(1010)
-    window, stride, n, dt = 128, 16, 512, 0.05
-    binning = BinningConfig(
-        omega_bins=BinAxis((0.0, 3.06), ("nominal", "shifted")),
-        gamma_bins=BinAxis((0.0,), ("any",)),
-        amp_bins=BinAxis((0.0,), ("any",)),
-        negligible_eps=0.05,
-    )
-    cfg = PipelineConfig(
-        binning=binning,
-        backend="matrix_pencil",
-        sparse=SparseSettings(k_max=3),
-        rules_text="resonance_shifted => anomaly\n",
-    )
+    cfg = criterion10.config()
 
-    t = np.arange(n) * dt
+    def flag(x):
+        return detect_anomalies(x, cfg, criterion10.WINDOW, criterion10.STRIDE, criterion10.HEAD)
+
     for _ in range(50):
-        omega1 = rng.uniform(2.6, 3.0)
-        omega2 = omega1 * rng.uniform(1.2, 1.3)  # >= 20% shift
-        gamma = rng.uniform(0.08, 0.15)
-        j = stride * int(rng.integers(10, 23))
-        x = np.where(
-            np.arange(n) < j,
-            np.exp(-gamma * t) * np.cos(omega1 * t),
-            np.exp(-gamma * t) * np.cos(omega2 * t),
-        )
-        flagged = detect_anomalies(TimeSeries(x, dt), cfg, window, stride, "anomaly")
+        x, j = criterion10.shifted_stream(rng)
+        flagged = flag(x)
         assert flagged, "changepoint missed entirely"
         first = flagged[0][0]
-        assert first <= j < first + window, f"first flag {first} misses changepoint {j}"
+        assert first <= j < first + criterion10.WINDOW, f"first flag {first} misses changepoint {j}"
 
     for _ in range(50):
-        omega1 = rng.uniform(2.6, 3.0)
-        gamma = rng.uniform(0.08, 0.15)
-        x = np.exp(-gamma * t) * np.cos(omega1 * t)
-        flagged = detect_anomalies(TimeSeries(x, dt), cfg, window, stride, "anomaly")
-        assert flagged == [], "false positive on stationary signal"
+        assert flag(criterion10.stationary_stream(rng)) == [], "false positive on stationary signal"
     report(10, "anomaly harness: changepoints localized, zero false positives")

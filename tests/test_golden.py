@@ -1,13 +1,14 @@
 """Golden results of the matrix pencil and of the keep rule ``pade_z`` shares.
 
 ``tests/data/golden_pencil.json`` holds what the pipeline makes of fixed
-inputs, which this module builds from ``src/`` only:
+inputs, which this module and ``criterion10.py`` build from ``src/`` only:
 
 - 64 runs of ``reference_config()`` (the matrix pencil) and 64 of its
   ``pade_z`` form at the default [1/2] orders, over the 8 benchmark regimes
   x seeds 0-3 x noise sigma 0 and 0.05;
-- ``detect_anomalies`` on 8 streams in the style of acceptance criterion
-  10: 6 with a frequency shift at a changepoint and 2 stationary ones.
+- ``detect_anomalies`` on 8 streams of acceptance criterion 10
+  (``criterion10.py``): 6 with a frequency shift at a changepoint and 2
+  stationary ones.
 
 Predicates, derived classes, traces, atom counts, drop counts and flagged
 windows must match exactly; atom parameters and residuals to a relative
@@ -27,18 +28,15 @@ import math
 import sys
 from pathlib import Path
 
+import criterion10
 import numpy as np
 
-from speclogic import PipelineConfig, TimeSeries, detect_anomalies, run
+from speclogic import detect_anomalies, run
 from speclogic.benchmark import REGIME_NAMES, reference_config, synth_oscillator
-from speclogic.pipeline import SparseSettings
 from speclogic.signal import norm2
-from speclogic.symbolic import BinAxis, BinningConfig
 
 FIXTURE = Path(__file__).parent / "data" / "golden_pencil.json"
 RTOL = 1e-9
-
-DETECT_WINDOW, DETECT_STRIDE, DETECT_SAMPLES, DETECT_DT = 128, 16, 512, 0.05
 
 
 def _record(result) -> dict:
@@ -67,34 +65,13 @@ def _runs():
                     yield f"{backend} {regime} seed={seed} sigma={sigma}", x, cfg
 
 
-def _detect_config() -> PipelineConfig:
-    binning = BinningConfig(
-        omega_bins=BinAxis((0.0, 3.06), ("nominal", "shifted")),
-        gamma_bins=BinAxis((0.0,), ("any",)),
-        amp_bins=BinAxis((0.0,), ("any",)),
-        negligible_eps=0.05,
-    )
-    return PipelineConfig(
-        binning=binning,
-        backend="matrix_pencil",
-        sparse=SparseSettings(k_max=3),
-        rules_text="resonance_shifted => anomaly\n",
-    )
-
-
 def _streams():
-    """(key, series) of the 8 detect streams."""
+    """(key, series) of the 8 detect streams: criterion 10's first 6 shifted
+    streams, then 2 stationary ones."""
     rng = np.random.default_rng(1010)
-    t = np.arange(DETECT_SAMPLES) * DETECT_DT
     for i in range(8):
-        omega1 = rng.uniform(2.6, 3.0)
-        gamma = rng.uniform(0.08, 0.15)
-        x = np.exp(-gamma * t) * np.cos(omega1 * t)
-        if i < 6:
-            omega2 = omega1 * rng.uniform(1.2, 1.3)
-            j = DETECT_STRIDE * int(rng.integers(10, 23))
-            x = np.where(np.arange(DETECT_SAMPLES) < j, x, np.exp(-gamma * t) * np.cos(omega2 * t))
-        yield f"detect stream={i}", TimeSeries(x, DETECT_DT)
+        x = criterion10.shifted_stream(rng)[0] if i < 6 else criterion10.stationary_stream(rng)
+        yield f"detect stream={i}", x
 
 
 def golden_outputs() -> tuple[dict, dict]:
@@ -102,12 +79,12 @@ def golden_outputs() -> tuple[dict, dict]:
     records, norms = {}, {}
     for key, x, cfg in _runs():
         records[key], norms[key] = _record(run(x, cfg)), norm2(x.samples)
-    cfg = _detect_config()
+    cfg, window = criterion10.config(), criterion10.WINDOW
     for key, x in _streams():
-        flagged = detect_anomalies(x, cfg, DETECT_WINDOW, DETECT_STRIDE, "anomaly")
+        flagged = detect_anomalies(x, cfg, window, criterion10.STRIDE, criterion10.HEAD)
         records[key] = [[start, _record(result)] for start, result in flagged]
         for start, _ in flagged:
-            norms[f"{key} start={start}"] = norm2(x.samples[start : start + DETECT_WINDOW])
+            norms[f"{key} start={start}"] = norm2(x.samples[start : start + window])
     return records, norms
 
 

@@ -535,6 +535,10 @@ def _graded_stack(rng, g, dtype):
     return orthonormal(12, 4) * np.array([1.0, 1e-3, 2e-15, 1e-16]) @ orthonormal(4, 4).mT
 
 
+GRADED_REAL = _graded_stack(np.random.default_rng(3), 2, float)
+GRADED_COMPLEX = _graded_stack(np.random.default_rng(4), 2, complex)
+
+
 def _assert_solve_equals_pinv(a, b):
     got = sparse._min_norm_solve(a, b)
     eps = np.finfo(float).eps
@@ -561,10 +565,8 @@ _RNG = np.random.default_rng(27)
         pytest.param(_RNG.standard_normal((5, 3)), _RNG.standard_normal((5, 2)), id="one_matrix"),
         pytest.param(np.empty((3, 64, 0)), _RNG.standard_normal((3, 64, 1)), id="empty_real"),
         pytest.param(np.empty((3, 64, 0), complex), np.ones((3, 64, 1)), id="empty_complex"),
-        pytest.param(_graded_stack(_RNG, 2, float), np.ones((2, 12, 3)), id="graded_real"),
-        pytest.param(
-            _graded_stack(_RNG, 2, complex), _RNG.standard_normal((2, 12, 3)), id="graded_complex"
-        ),
+        pytest.param(GRADED_REAL, np.ones((2, 12, 3)), id="graded_real"),
+        pytest.param(GRADED_COMPLEX, _RNG.standard_normal((2, 12, 3)), id="graded_complex"),
     ],
 )
 def test_min_norm_solve_equals_pinv_bit_for_bit(a, b):
@@ -581,11 +583,11 @@ def test_min_norm_solve_equals_pinv_on_random_low_rank_stacks():
             _assert_solve_equals_pinv(_low_rank_stack(rng, (g, m, k), rank, dtype), b)
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_graded_stacks_bind_the_solve_cutoff(dtype):
+@pytest.mark.parametrize("a", [GRADED_REAL, GRADED_COMPLEX], ids=["real", "complex"])
+def test_graded_stacks_bind_the_solve_cutoff(a):
     # the third singular value lies between 1e-15 and the cutoff, so the
     # equalities above pin the cutoff rule, not only the zeroed reciprocals
-    s = np.linalg.svd(_graded_stack(np.random.default_rng(3), 4, dtype), compute_uv=False)
+    s = np.linalg.svd(a, compute_uv=False)
     cutoff = np.finfo(float).eps * 12 * s[:, :1]
     assert np.all(np.count_nonzero(s > cutoff, axis=1) == 2)
     assert np.all(s[:, 2] > 1e-15 * s[:, 0])
@@ -610,57 +612,61 @@ def test_pencil_refuses_a_shift_matrix_that_is_not_finite():
             fit_matrix_pencil(TimeSeries(x, 0.05), 6)
 
 
-def _keep_rule_on_numpy_scalars(poles, residues, dt, scale):
-    """The keep rule judging each mode as numpy scalars: the reference."""
-    params = [sparse._pole_atom(z, c, dt, scale) for z, c in zip(poles, residues)]
-    if any(p is not None and math.isinf(p[2]) for p in params):
-        params = [None] * len(params)
-    kept = np.array([p is not None for p in params], dtype=bool)
-    partner = poles.imag < 0
-    atoms = [LorentzianAtom(*p) for p, twin in zip(params, partner) if p is not None and not twin]
-    return atoms, kept, int(np.count_nonzero(~partner & ~kept))
-
-
 _EDGE = sparse.UNSTABLE_MODULUS
 _MODULI = [np.nextafter(_EDGE, 0), _EDGE, np.nextafter(_EDGE, 2), 1e-12, np.nextafter(1e-12, 0)]
+_ROTATED = np.array([r * np.exp(1j * a) for r in _MODULI for a in (0, 0.7, -0.7, np.pi)])
 
 
 @pytest.mark.parametrize(
-    "poles, residues, scale",
+    "poles, residues, scale, want_kept",
     [
-        pytest.param(
-            np.array([r * np.exp(1j * a) for r in _MODULI for a in (0, 0.7, -0.7, np.pi)]),
+        pytest.param(  # kept while 1e-12 <= |z| < UNSTABLE_MODULUS, |z| as a scalar's abs
+            _ROTATED,
             np.full(20, 0.3 + 0.2j),
             1.0,
+            [1e-12 <= abs(z) < _EDGE for z in _ROTATED],
             id="edge_moduli",
         ),
-        pytest.param(np.array(_MODULI + [0.5, -0.5]), np.ones(7, complex), 1.0, id="real_poles"),
+        pytest.param(
+            np.array(_MODULI + [0.5, -0.5]),
+            np.ones(7, complex),
+            1.0,
+            [True, False, False, True, False, True, True],
+            id="real_poles",
+        ),
         pytest.param(  # the 0.9 mode's amplitude overflows only at input scale
             np.array([0.9, 0.5 + 0.3j, 0.5 - 0.3j]),
             np.ones(3, complex),
-            2.0**1020,
+            2.0**1023,
+            [False, False, False],
             id="scale_overflow",
         ),
         pytest.param(
             np.full(5, 0.5 + 0.5j),
             np.array([np.inf, np.nan, complex(np.nan, np.inf), complex(np.inf, np.nan), 1.0]),
             1.0,
+            [False, False, False, False, True],
             id="non_finite_residues",
         ),
-        pytest.param(  # |c| overflows though both parts are finite: Python's abs raises
+        pytest.param(  # |c| overflows to inf though both parts are finite
             np.array([0.5, 0.6j]),
             np.array([1.5e308 + 1.5e308j, 1.0]),
             1.0,
+            [False, True],
             id="residue_modulus_overflow",
         ),
-        pytest.param(np.empty(0), np.empty(0, complex), 1.0, id="no_modes"),
+        pytest.param(np.empty(0), np.empty(0, complex), 1.0, [], id="no_modes"),
     ],
 )
-def test_keep_rule_on_python_scalars_equals_numpy_scalars(poles, residues, scale):
+def test_keep_rule_at_its_edges(poles, residues, scale, want_kept):
     atoms, kept, dropped = sparse._keep_rule(poles, residues, 1.0, scale)
-    want_atoms, want_kept, want_dropped = _keep_rule_on_numpy_scalars(poles, residues, 1.0, scale)
-    assert atoms == want_atoms
-    assert np.array_equal(kept, want_kept) and dropped == want_dropped
+    assert np.array_equal(kept, np.asarray(want_kept, dtype=bool))
+    partner = poles.imag < 0
+    assert len(atoms) == np.count_nonzero(kept & ~partner)
+    assert dropped == np.count_nonzero(~kept & ~partner)
+    twins = poles[kept & ~partner]
+    assert [a.omega for a in atoms] == [math.atan2(z.imag, z.real) for z in twins]
+    assert [a.gamma for a in atoms] == [-math.log(abs(z)) for z in twins]
 
 
 def test_pencil_multimode_recovery():

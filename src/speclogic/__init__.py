@@ -34,7 +34,7 @@ from .pipeline import (
 )
 from .benchmark import REGIME_NAMES, run_benchmark, synth_oscillator
 from .rules import HornRule, ProofTrace, RuleSet, format_rules, infer, parse_rules, replay
-from .signal import PreprocessConfig, TimeSeries, autocorrelation, preprocess
+from .signal import PreprocessConfig, TimeSeries, preprocess
 from .sparse import (
     LorentzianAtom,
     SparseSpectrum,
@@ -76,7 +76,6 @@ __all__ = [
     "TridiagResult",
     "atoms_from_poles",
     "auto_order_sweep",
-    "autocorrelation",
     "detect_anomalies",
     "eval_spectrum",
     "extract_poles",

@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, InputError, NumericError
-from .signal import scipy_routine, unit_scale
+from .signal import nrm2, scipy_routine, unit_scale
 
 #: beta_j <= BREAKDOWN_RTOL * ||H q1|| terminates the recurrence.
 BREAKDOWN_RTOL = 1e-12
@@ -185,11 +185,6 @@ class RitzSpectrum:
             raise InputError(f"weights must sum to 1 (got {w.sum()!r})")
 
 
-def _nrm2(v: np.ndarray) -> float:
-    """2-norm by BLAS nrm2, which scales as it sums: no overflow or underflow."""
-    return float(scipy_routine("blas", "nrm2")(v))
-
-
 def _ritz_pairs(alpha: np.ndarray, beta: np.ndarray, residual: float):
     """Ritz values of the tridiagonal (alpha, beta) whose last recurrence
     residual is ``residual``, with their weights s_1j^2 and Paige bounds
@@ -201,7 +196,7 @@ def _ritz_pairs(alpha: np.ndarray, beta: np.ndarray, residual: float):
 
         try:
             lam, vec = scipy.linalg.eigh_tridiagonal(alpha, beta)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
             raise ConvergenceError(f"tridiagonal eigensolver failed to converge: {exc}") from None
     return lam, vec[0, :] ** 2, residual * np.abs(vec[-1, :])
 
@@ -296,7 +291,7 @@ def lanczos_tridiag(
 
     # dividing by the peak first keeps a subnormal q1's precision
     q = q / peak
-    q = q / _nrm2(q)
+    q = q / nrm2(q)
     # one Krylov vector per row, so reorthogonalizing reads contiguous memory
     basis = np.empty((min(k, 2 * CHECK_EVERY), op.dim))
     basis[0] = q
@@ -314,7 +309,7 @@ def lanczos_tridiag(
     for j in range(k):
         w = op.apply(q)
         if tol is None:
-            tol = BREAKDOWN_RTOL * _nrm2(w)
+            tol = BREAKDOWN_RTOL * nrm2(w)
         alpha = float(q @ w)
         if not (math.isfinite(alpha) and math.isfinite(tol)):
             raise NumericError(_OVERFLOW)
@@ -326,7 +321,7 @@ def lanczos_tridiag(
         if j > 0:
             rows = basis[: j + 1]
             w -= (rows @ w) @ rows
-        beta = _nrm2(w)
+        beta = nrm2(w)
         if not math.isfinite(beta):
             raise NumericError(_OVERFLOW)
         if beta <= tol:

@@ -8,6 +8,7 @@ c_0..c_{m+n}. The denominator solves the Toeplitz moment system
 
 and the numerator follows by convolution. Rank-deficient systems (degenerate
 blocks of the approximant table) are resolved by minimum-norm least squares.
+A failed LAPACK routine raises :class:`~speclogic.errors.ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg._umath_linalg import eigvals, lstsq
+from numpy.linalg._umath_linalg import lstsq
 
 from .errors import IllConditionedError, InputError
-from .signal import norm2, scipy_routine
+from .signal import EPS, eigenvalues, lapack_errstate, norm2, scipy_routine
 
 #: Solver residuals above this fraction of ||c|| are reported as failures.
 MOMENT_RESIDUAL_RTOL = 1e-6
@@ -26,8 +27,6 @@ MOMENT_RESIDUAL_RTOL = 1e-6
 #: Two denominator roots closer than this, relative to the larger modulus,
 #: are flagged as a multiple pole.
 MULTIPLE_POLE_RTOL = 1e-6
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,41 +89,17 @@ class PoleSet:
         return self.poles.size
 
 
-def _lstsq_failed(err: str, flag: int):
-    """``np.errstate`` call handler: numpy's LAPACK gufuncs flag a failed
-    routine as an invalid operation, and this raises it as ``np.linalg.lstsq``
-    does."""
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _eigvals_failed(err: str, flag: int):
-    """:func:`_lstsq_failed` with the message of ``np.linalg.eigvals``."""
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
-@np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+@lapack_errstate()
 def _lstsq(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of the n x n system a x = rhs.
 
     Calls LAPACK ``dgelsd`` by the ``lstsq`` gufunc of
     ``numpy.linalg._umath_linalg`` with the signature and the cutoff
     eps * n that ``np.linalg.lstsq(rcond=None)`` passes it, so the solution
-    is the wrapper's bit for bit, without its wrapper costs. A failed SVD
-    raises ``np.linalg.LinAlgError`` through the ``np.errstate`` handler, as
-    in the wrapper.
+    is the wrapper's bit for bit, without its wrapper costs.
     """
-    x, _, _, _ = lstsq(a, rhs[:, None], _EPS * a.shape[0], signature="ddd->ddid")
+    x, _, _, _ = lstsq(a, rhs[:, None], EPS * a.shape[0], signature="ddd->ddid")
     return x[:, 0]
-
-
-@np.errstate(call=_eigvals_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
-def _eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each real square matrix of ``a`` by the ``eigvals``
-    gufunc (LAPACK ``dgeev``) that ``np.linalg.eigvals`` calls, with its error
-    handler: complex, or real when every eigenvalue of the whole stack has
-    imaginary part 0, as the wrapper returns them."""
-    w = eigvals(a, signature="d->D")
-    return w if w.imag.any() else w.real
 
 
 def _polynomial_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
@@ -132,12 +107,13 @@ def _polynomial_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
     trailing near-zero coefficients are trimmed.
 
     With both end coefficients nonzero, this is the companion matrix
-    ``np.roots`` builds, and :func:`_eigvals` makes the call ``np.roots``
-    makes through ``np.linalg.eigvals``, so the roots equal its roots bit for
-    bit: complex, or real when every root is. The wrapper's finiteness check
-    has nothing to catch here: the trimmed leading coefficient is at least
-    1e-14 * max|q|, so every companion entry has modulus below 1e14 when the
-    coefficients are finite, as :class:`RationalApprox` checks they are.
+    ``np.roots`` builds, and :func:`~speclogic.signal.eigenvalues` makes the
+    call ``np.roots`` makes through ``np.linalg.eigvals``, so the roots equal
+    its roots bit for bit: complex, or real when every root is. The wrapper's
+    finiteness check has nothing to catch here: the trimmed leading
+    coefficient is at least 1e-14 * max|q|, so every companion entry has
+    modulus below 1e14 when the coefficients are finite, as
+    :class:`RationalApprox` checks they are.
     """
     mag = np.abs(coeffs_ascending)
     degree = np.nonzero(mag > 1e-14 * mag.max())[0][-1]
@@ -147,7 +123,7 @@ def _polynomial_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
     companion = np.zeros((degree, degree))
     companion.flat[degree :: degree + 1] = 1.0  # ones below the diagonal
     companion[0] = -p[1:] / p[0]
-    return _eigvals(companion)
+    return eigenvalues(companion)
 
 
 def _horner(coeffs_ascending: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    ConvergenceError,
     IllConditionedError,
     InputError,
     SpecLogicError,
@@ -52,7 +51,7 @@ from .errors import (
 from .lanczos import HermitianOp, RitzSpectrum, TridiagResult, lanczos_tridiag, tridiag_eigen
 from .pade import PoleSet, RationalApprox, extract_poles, fit_pade, taylor_coefficients
 from .rules import ProofTrace, RuleSet, infer, load_rules, parse_rules
-from .signal import PreprocessConfig, TimeSeries, norm2, preprocess, scipy_routine, unit_scale
+from .signal import PreprocessConfig, TimeSeries, norm2, nrm2, preprocess, unit_scale
 from .sparse import (
     SV_TOL_DEFAULT,
     FitHealth,
@@ -267,15 +266,14 @@ def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
     re-expansion that overflows counts as an infinite residual. An order
     whose moment system is ill-conditioned is never chosen; when every
     order is, the last order's :class:`IllConditionedError` is raised.
-    Norms are BLAS nrm2, bound by :func:`~speclogic.signal.scipy_routine`.
+    Norms are BLAS nrm2 (:func:`~speclogic.signal.nrm2`).
     """
     c = np.asarray(c, dtype=float)
     if n_max < 1:
         raise InputError(f"n_max must be positive, got {n_max}")
     if c.size < 2:
         raise InputError(f"need at least 2 series coefficients, got {c.size}")
-    nrm2 = scipy_routine("blas", "nrm2")
-    scale = float(nrm2(c))
+    scale = nrm2(c)
     if scale == 0:
         return SweepResult(fit_pade(c, 0, 1), 0.0, True)
     best: SweepResult | None = None
@@ -289,7 +287,7 @@ def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
         tail = taylor_coefficients(r, c.size)
         # BLAS nrm2 scales as it sums, so a huge but finite tail gives a
         # finite norm; a tail that overflowed (inf/nan) counts as inf.
-        residual = float(nrm2(tail - c)) / scale
+        residual = nrm2(tail - c) / scale
         if not math.isfinite(residual):
             residual = math.inf
         candidate = SweepResult(r, residual, residual <= residual_tol)
@@ -331,21 +329,16 @@ def _estimate(series: list[TimeSeries], cfg: PipelineConfig) -> list[SparseSpect
 
     The matrix pencil fits equal-length series as one stacked batch, and
     ``pade_z`` fits them one at a time; either way a series' spectrum does
-    not depend on the batch it came in. A numpy ``LinAlgError`` of either
-    fit (a LAPACK iteration that did not converge) is raised as a
-    :class:`ConvergenceError`.
+    not depend on the batch it came in.
     """
     if cfg.backend not in SIGNAL_BACKENDS:
         raise ConfigError(
             "the lanczos backend estimates spectra of operators, not time series; "
             "use run_hermitian"
         )
-    try:
-        if cfg.backend == "matrix_pencil":
-            return fit_matrix_pencil(series, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
-        return [_pade_z(x, cfg.pade) for x in series]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"the {cfg.backend} fit failed: {exc}") from None
+    if cfg.backend == "matrix_pencil":
+        return fit_matrix_pencil(series, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
+    return [_pade_z(x, cfg.pade) for x in series]
 
 
 def _atoms_from_ritz(

@@ -1,5 +1,6 @@
 """Time-domain signal container, mean removal, scale-safe sample norms, the
-binder of scipy's BLAS and LAPACK routines, file ingestion and CSV output.
+binder of scipy's BLAS and LAPACK routines, the one failure path of numpy's
+LAPACK gufuncs, file ingestion and CSV output.
 
 Everything here is a pure function over immutable values; results are safe
 to share between threads.
@@ -15,11 +16,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvals
 
-from .errors import InputError
+from .errors import ConvergenceError, InputError
 
 #: Relative tolerance used to validate uniform time spacing in CSV input.
 UNIFORM_SPACING_RTOL = 1e-6
+
+#: Machine epsilon of float64, the unit of the least-squares cutoffs.
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,19 +136,36 @@ def scipy_routine(library: str, name: str):
     return scipy.linalg.get_lapack_funcs(name, dtype=np.float64)
 
 
-def autocorrelation(x: TimeSeries, max_lag: int) -> TimeSeries:
-    """Unbiased sample autocorrelation for lags 0..max_lag.
+def nrm2(v: np.ndarray) -> float:
+    """2-norm by BLAS nrm2, which scales as it sums: no overflow or underflow.
+    It rounds differently from :func:`norm2`."""
+    return float(scipy_routine("blas", "nrm2")(v))
 
-    C(l) = (1/(N-l)) * sum_n x[n]*x[n+l]. The mean is not removed here;
-    detrend first if that is wanted. dt is preserved so lag l maps to time
-    l*dt.
-    """
-    n = len(x)
-    if not 1 <= max_lag < n:
-        raise InputError(f"max_lag must be in [1, {n - 1}], got {max_lag}")
-    s = x.samples
-    c = np.array([s[: n - lag] @ s[lag:] / (n - lag) for lag in range(max_lag + 1)])
-    return TimeSeries(c, x.dt, x.label)
+
+def _lapack_failed(err: str, flag: int):
+    """``np.errstate`` call handler: numpy's LAPACK gufuncs flag a routine
+    that failed as an invalid operation, and this raises it."""
+    raise ConvergenceError("a LAPACK routine did not converge")
+
+
+def lapack_errstate() -> np.errstate:
+    """A new ``np.errstate`` under which a failed numpy LAPACK gufunc raises
+    :class:`~speclogic.errors.ConvergenceError` at its call and no other
+    floating-point event is reported; no value changes. An instance can be
+    entered only once, but one that decorates a function serves every call."""
+    return np.errstate(
+        call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
+    )
+
+
+@lapack_errstate()
+def eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each real square matrix of ``a`` by the ``eigvals``
+    gufunc (LAPACK ``dgeev``) that ``np.linalg.eigvals`` calls: complex, or
+    real when every eigenvalue of the whole stack has imaginary part 0, as
+    the wrapper returns them."""
+    w = eigvals(a, signature="d->D")
+    return w if w.imag.any() else w.real
 
 
 def read_text(path: str | Path) -> str:

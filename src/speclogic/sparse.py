@@ -27,9 +27,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced, svd_s
 
-from .errors import InputError, NumericError
-from .pade import _EPS, PoleSet, _eigvals
-from .signal import TimeSeries, json_numbers, norm2, unit_scale
+from .errors import ConvergenceError, InputError, NumericError
+from .pade import PoleSet
+from .signal import EPS, TimeSeries, eigenvalues, json_numbers, lapack_errstate, norm2, unit_scale
 
 #: Default relative singular-value cutoff for pencil order selection.
 SV_TOL_DEFAULT = 1e-8
@@ -291,13 +291,6 @@ def _test_matrix(rows: int, width: int, seed: int) -> np.ndarray:
     return test
 
 
-def _lapack_failed(err: str, flag: int):
-    """``np.errstate`` call handler: numpy's LAPACK gufuncs flag a failed
-    routine as an invalid operation, and this raises it as numpy's own
-    wrappers do."""
-    raise np.linalg.LinAlgError("LAPACK failed in the pencil's range finder or solves")
-
-
 def _orthonormal(a: np.ndarray) -> np.ndarray:
     """Q of the thin QR factorization of each matrix of the stack ``a``,
     which LAPACK overwrites with its Householder vectors."""
@@ -307,15 +300,15 @@ def _orthonormal(a: np.ndarray) -> np.ndarray:
 def _min_norm_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.linalg.pinv(a, rtol=None) @ b`` by ``pinv``'s own steps, bit for
     bit: ``svd_s`` of ``a.conj()``, then 1/s above eps * max(a.shape[-2:]) *
-    max(s), taken with ``initial=0`` for the empty s of an order-0 stack."""
-    with np.errstate(
-        call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
-    ):
+    max(s), taken with ``initial=0`` for the empty s of an order-0 stack; a
+    subnormal max(s) gives inf or nan entries, without a warning."""
+    with lapack_errstate():
         u, s, vt = svd_s(a.conj(), signature="D->DdD" if a.dtype == complex else "d->ddd")
-    large = s > max(a.shape[-2:]) * _EPS * s.max(axis=-1, keepdims=True, initial=0)
-    np.divide(1, s, where=large, out=s)
-    s[~large] = 0
-    return np.matmul(vt.mT, s[..., None] * u.mT) @ b
+    with np.errstate(over="ignore", invalid="ignore"):
+        large = s > max(a.shape[-2:]) * EPS * s.max(axis=-1, keepdims=True, initial=0)
+        np.divide(1, s, where=large, out=s)
+        s[~large] = 0
+        return np.matmul(vt.mT, s[..., None] * u.mT) @ b
 
 
 def _leading_svd(hank: np.ndarray, width: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -339,19 +332,15 @@ def _leading_svd(hank: np.ndarray, width: int, seed: int) -> tuple[np.ndarray, n
     ``np.linalg.svd(full_matrices=False)`` call, on the inputs those would
     pass them, so the results are the wrappers' bit for bit, without their
     input copy or the R factor ``qr`` builds. ``qr_r_raw`` overwrites its
-    input, so it only gets a product just formed here, never ``hank``. A
-    failed LAPACK call raises ``np.linalg.LinAlgError`` through the
-    ``np.errstate`` handler, as in the wrappers. Each stacked call runs the
-    2-d routine on each matrix, so each result equals that of the matrix
-    alone, bit for bit.
+    input, so it only gets a product just formed here, never ``hank``. Each
+    stacked call runs the 2-d routine on each matrix, so each result equals
+    that of the matrix alone, bit for bit.
     """
     rows = hank.shape[2]
     draw = _test_matrix if rows * width <= MAX_CACHED_TEST_ENTRIES else _test_matrix.__wrapped__
     test = draw(rows, width, seed)
     hank_t = np.swapaxes(hank, 1, 2)
-    with np.errstate(
-        call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
-    ):
+    with lapack_errstate():
         q = _orthonormal(hank @ test)
         for _ in range(POWER_ITERATIONS):
             q = _orthonormal(hank_t @ q)
@@ -387,7 +376,7 @@ def fit_matrix_pencil(
     The windows of a batch are grouped by model order, and each group makes
     one stacked call per step: the shift matrix and the Vandermonde
     coefficients come from :func:`_min_norm_solve` and the poles from
-    :func:`~speclogic.pade._eigvals`, with the results and checks of
+    :func:`~speclogic.signal.eigenvalues`, with the results of
     ``np.linalg.pinv`` and ``np.linalg.eigvals``. The residuals come from
     the group's Vandermonde stack too: one stacked product with the
     coefficients, those of the modes the keep rule drops set to 0, gives
@@ -397,7 +386,9 @@ def fit_matrix_pencil(
     The samples are divided by :func:`unit_scale` before any product is
     formed, so the fit is scale invariant; amplitudes and the residual norm
     are at the input's scale, as in :func:`atoms_from_poles`, and each
-    spectrum's :class:`FitHealth` holds its residual and drop count.
+    spectrum's :class:`FitHealth` holds its residual and drop count. A LAPACK
+    routine that fails, or a shift matrix that overflows (a subnormal solve),
+    raises :class:`~speclogic.errors.ConvergenceError`.
     """
     single = isinstance(x, TimeSeries)
     windows = [x] if single else list(x)
@@ -441,9 +432,9 @@ def fit_matrix_pencil(
         group = np.flatnonzero(orders == order)
         v = vhs[group, :order].mT
         shift = _min_norm_solve(v[:, :pencil], v[:, 1:])
-        if not np.isfinite(shift).all():  # pinv overflows where max(s) is subnormal
-            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-        z = _eigvals(shift)
+        if not np.isfinite(shift).all():
+            raise ConvergenceError("the pencil's shift matrix overflows: its solve is subnormal")
+        z = eigenvalues(shift)
 
         # Artifact poles with exploding powers stay out of the Vandermonde
         # solve as zero columns and get coefficient 0; the keep rule drops

@@ -15,6 +15,19 @@ def _heavy_pair_operator(rng, dim):
     return (h + h.T) / 2, q @ np.sqrt(weights)
 
 
+def _failing_gufunc(*args, **kwargs):
+    """A LAPACK gufunc that fails as numpy's report a failure: by an invalid
+    floating-point operation, which the caller's ``np.errstate`` handles."""
+    np.sqrt(np.float64(-1.0))
+    raise AssertionError("the invalid operation was ignored")
+
+
+@pytest.fixture
+def failing_gufunc():
+    """Stand-in for one of numpy's LAPACK gufuncs that fails on every call."""
+    return _failing_gufunc
+
+
 @pytest.fixture
 def heavy_pair_operator():
     """Builder of dense symmetric operators with two heavy eigenvalues in a

@@ -5,7 +5,7 @@ import stat
 import numpy as np
 import pytest
 
-from speclogic import pade
+from speclogic import signal
 from speclogic.benchmark import reference_config
 from speclogic.cli import main
 from speclogic.rules import infer, load_rules, load_trace_json, replay
@@ -466,20 +466,11 @@ def test_run_past_the_pencil_maximum_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "backend, module",
-    [
-        # both signal back-ends take their poles from numpy's eigvals gufunc
-        # through pade._eigvals, not from np.linalg.eigvals
-        pytest.param("matrix_pencil", pade, id="matrix_pencil"),
-        pytest.param("pade_z", pade, id="pade_z"),
-    ],
-)
-def test_a_lapack_failure_exits_3(workdir, capsys, monkeypatch, backend, module):
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(module, "eigvals", failing)
+# both signal back-ends take their poles from numpy's eigvals gufunc through
+# signal.eigenvalues, not from np.linalg.eigvals
+@pytest.mark.parametrize("backend", ["matrix_pencil", "pade_z"])
+def test_a_lapack_failure_exits_3(workdir, capsys, monkeypatch, failing_gufunc, backend):
+    monkeypatch.setattr(signal, "eigvals", failing_gufunc)
     assert main(["run", "--input", str(workdir / "sig.csv"), "--backend", backend]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric error: [stage: estimate]") and "did not converge" in err

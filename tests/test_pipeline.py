@@ -26,8 +26,8 @@ from speclogic import (
     run_hermitian,
 )
 from speclogic.benchmark import REGIME_NAMES, reference_config, synth_oscillator
-from speclogic import pade, pipeline, sparse
-from speclogic.pade import PoleSet
+from speclogic import pade, pipeline, signal, sparse
+from speclogic.pade import PoleSet, extract_poles, fit_pade
 from speclogic.pipeline import LanczosSettings, PadeSettings, SparseSettings
 from speclogic.signal import PreprocessConfig, preprocess, read_json
 from speclogic.sparse import SparseSpectrum, fit_matrix_pencil
@@ -270,32 +270,80 @@ def test_stage_annotation_on_errors():
     assert err2.value.stage == "rules"
 
 
-def _failing_lapack(*args, **kwargs):
-    raise np.linalg.LinAlgError("SVD did not converge")
-
-
 @pytest.mark.parametrize(
     "backend, module, routine",
     [
         # both signal back-ends call numpy's LAPACK gufuncs, not np.linalg.svd,
-        # np.linalg.pinv, np.linalg.lstsq or np.linalg.eigvals; the pencil takes
-        # its poles through pade._eigvals
+        # np.linalg.pinv, np.linalg.lstsq or np.linalg.eigvals; both take
+        # their poles through signal.eigenvalues
         pytest.param("matrix_pencil", sparse, "svd_s", id="matrix_pencil-svd"),
-        pytest.param("matrix_pencil", pade, "eigvals", id="matrix_pencil-eigvals"),
+        pytest.param("matrix_pencil", signal, "eigvals", id="matrix_pencil-eigvals"),
         pytest.param("pade_z", pade, "lstsq", id="pade_z-lstsq"),
-        pytest.param("pade_z", pade, "eigvals", id="pade_z-eigvals"),
+        pytest.param("pade_z", signal, "eigvals", id="pade_z-eigvals"),
     ],
 )
 def test_a_lapack_failure_is_a_convergence_error_of_the_estimate_stage(
-    monkeypatch, backend, module, routine
+    monkeypatch, failing_gufunc, backend, module, routine
 ):
     cfg = dataclasses.replace(reference_config(), backend=backend)
-    monkeypatch.setattr(module, routine, _failing_lapack)
+    monkeypatch.setattr(module, routine, failing_gufunc)
     with pytest.raises(ConvergenceError) as err:
         run(damped_cosine(2.0, 0.2), cfg)
     assert err.value.stage == "estimate"
-    assert str(err.value).startswith(f"[stage: estimate] the {backend} fit failed: ")
+    assert str(err.value) == "[stage: estimate] a LAPACK routine did not converge"
     assert err.value.__cause__ is None
+
+
+def _pencil(c):
+    return fit_matrix_pencil(TimeSeries(c, 0.05), 4)
+
+
+def _poles(c):
+    return extract_poles(fit_pade(c, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "fit, module, routine",
+    [
+        pytest.param(_pencil, sparse, "svd_s", id="fit_matrix_pencil-svd"),
+        pytest.param(_pencil, signal, "eigvals", id="fit_matrix_pencil-eigvals"),
+        pytest.param(lambda c: fit_pade(c, 1, 2), pade, "lstsq", id="fit_pade"),
+        pytest.param(_poles, signal, "eigvals", id="extract_poles"),
+        pytest.param(lambda c: auto_order_sweep(c, 8, 1e-8), pade, "lstsq", id="auto_order_sweep"),
+    ],
+)
+def test_each_fit_raises_a_lapack_failure_as_a_convergence_error(
+    monkeypatch, failing_gufunc, fit, module, routine
+):
+    c = damped_cosine(2.0, 0.2).samples
+    monkeypatch.setattr(module, routine, failing_gufunc)
+    with pytest.raises(ConvergenceError, match="^a LAPACK routine did not converge$"):
+        fit(c)
+
+
+def test_a_lapack_failure_in_the_pencil_solves_is_a_convergence_error(monkeypatch):
+    # only the solves pass svd_s a signature; the range finder's SVD runs as it is
+    svd_s = sparse.svd_s
+
+    def failing_in_the_solves(*args, **kwargs):
+        if "signature" in kwargs:
+            np.sqrt(np.float64(-1.0))
+        return svd_s(*args, **kwargs)
+
+    monkeypatch.setattr(sparse, "svd_s", failing_in_the_solves)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        _pencil(damped_cosine(2.0, 0.2).samples)
+
+
+def test_subnormal_samples_beside_a_unit_peak_are_a_convergence_error_without_a_warning():
+    # the shift solve's largest singular value is subnormal, so its reciprocal
+    # overflows; the pencil says so, and no RuntimeWarning leaks
+    x = TimeSeries([1e-310] * 127 + [1.0], 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="shift matrix overflows") as err:
+            run(x, reference_config())
+    assert err.value.stage == "estimate"
 
 
 def test_stage_tags_library_errors_and_passes_others_through():

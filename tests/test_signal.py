@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from speclogic import InputError, NumericError, PoleSet, TimeSeries, autocorrelation, preprocess
+from speclogic import InputError, NumericError, PoleSet, TimeSeries, preprocess
 from speclogic.signal import (
     PreprocessConfig,
     load_timeseries_csv,
@@ -46,45 +46,17 @@ def test_all_none_is_identity_and_idempotent():
     assert once.dt == x.dt and once.label == "sig"
 
 
-def test_autocorrelation_zero_signal():
-    out = autocorrelation(TimeSeries(np.zeros(16), 1.0), 5)
-    assert np.array_equal(out.samples, np.zeros(6))
-
-
-def test_autocorrelation_alternating():
-    out = autocorrelation(TimeSeries([1.0, -1.0, 1.0, -1.0], 0.25), 1)
-    assert out.samples[0] == pytest.approx(1.0)
-    assert out.samples[1] == pytest.approx(-1.0)
-    assert out.dt == 0.25
-
-
-def test_autocorrelation_lag_bounds():
-    x = TimeSeries([1.0, 2.0, 3.0], 1.0)
-    with pytest.raises(InputError):
-        autocorrelation(x, 0)
-    with pytest.raises(InputError):
-        autocorrelation(x, 3)
-
-
 def test_autocorrelation_keeps_dominant_frequency():
-    # fitting the signal and its autocorrelation should find the same mode
+    # a correlation sequence is itself a signal: fitting the signal and its
+    # unbiased autocorrelation should find the same mode
     dt = 0.02
     t = np.arange(400) * dt
     x = TimeSeries(np.exp(-0.1 * t) * np.cos(2.5 * t), dt)
-    corr = autocorrelation(x, 130)
+    s = x.samples
+    corr = TimeSeries([s[: 400 - lag] @ s[lag:] / (400 - lag) for lag in range(131)], dt)
     dom_x = max(fit_matrix_pencil(x, 2).atoms, key=lambda a: a.amp)
     dom_c = max(fit_matrix_pencil(corr, 4).atoms, key=lambda a: a.amp)
     assert dom_c.omega == pytest.approx(dom_x.omega, rel=1e-2)
-
-
-def test_autocorrelation_peak_at_zero_lag():
-    # Cauchy-Schwarz: C(0) dominates every other lag for mean-removed input
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        s = rng.standard_normal(rng.integers(16, 80))
-        s -= s.mean()
-        out = autocorrelation(TimeSeries(s, 1.0), len(s) // 2)
-        assert out.samples[0] >= np.max(np.abs(out.samples[1:])) - 1e-12
 
 
 def test_csv_roundtrip(tmp_path):

@@ -42,7 +42,7 @@ from .sparse import (
     eval_spectrum,
     fit_matrix_pencil,
 )
-from .symbolic import BinAxis, BinningConfig, Predicate, SymbolSet, project
+from .symbolic import BinAxis, BinningConfig, SymbolSet, project
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "NumericError",
     "PipelineConfig",
     "PoleSet",
-    "Predicate",
     "PreprocessConfig",
     "ProofTrace",
     "RationalApprox",

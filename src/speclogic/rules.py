@@ -23,7 +23,7 @@ replayable proof trace ordered by (stratum, pass, rule position).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -186,20 +186,24 @@ class ProofTrace:
         return [s.to_dict() for s in self.steps]
 
     @classmethod
-    def from_json(cls, records: list[dict]) -> "ProofTrace":
-        try:
-            steps = tuple(
-                TraceStep(
-                    r["rule_id"],
-                    r["head"],
-                    tuple(r["body_pos"]),
-                    tuple(r["body_neg_checked"]),
-                )
-                for r in records
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad trace record: {exc}") from None
-        return cls(steps)
+    def from_json(cls, records) -> "ProofTrace":
+        """The trace :meth:`to_json` wrote: a list of objects with exactly a
+        step's four keys, an identifier rule id and head and two lists of
+        identifiers. Anything else is an :class:`InputError`."""
+        if not isinstance(records, list):
+            raise InputError("a trace must be a JSON list of records")
+        keys = tuple(f.name for f in fields(TraceStep))
+        steps = []
+        for i, r in enumerate(records):
+            if not (isinstance(r, dict) and r.keys() == set(keys)):
+                raise InputError(f"trace record {i} must be an object with the keys {keys}")
+            rule_id, head, body_pos, body_neg = (r[k] for k in keys)
+            if not (isinstance(body_pos, list) and isinstance(body_neg, list)):
+                raise InputError(f"trace record {i}: the bodies must be lists of names")
+            for name in (rule_id, head, *body_pos, *body_neg):
+                _check_identifier(name, f"trace record {i}: name")
+            steps.append(TraceStep(rule_id, head, tuple(body_pos), tuple(body_neg)))
+        return cls(tuple(steps))
 
 
 def _tokenize(line: str, lineno: int) -> list[tuple[str, int]]:
@@ -330,8 +334,7 @@ def infer(rs: RuleSet, facts: SymbolSet) -> tuple[SymbolSet, ProofTrace]:
                 break
             steps.extend(fired.values())
             known.update(fired)
-    derived = facts.union_names(known - set(facts.names))
-    return derived, ProofTrace(tuple(steps))
+    return SymbolSet(frozenset(known)), ProofTrace(tuple(steps))
 
 
 def replay(trace: ProofTrace, facts: SymbolSet, rs: RuleSet) -> bool:

@@ -20,7 +20,7 @@ from .sparse import SparseSpectrum
 
 IDENTIFIER_RE = re.compile(r"[a-z_][a-z0-9_]*\Z")
 
-#: Predicate emitted for atoms with amplitude below the negligibility cutoff.
+#: The predicate emitted for atoms with amplitude below the negligibility cutoff.
 NEGLIGIBLE = "negligible"
 
 
@@ -28,18 +28,6 @@ def _check_identifier(name: str, what: str) -> str:
     if not isinstance(name, str) or not IDENTIFIER_RE.match(name):
         raise InputError(f"{what} {name!r} must match [a-z_][a-z0-9_]*")
     return name
-
-
-@dataclass(frozen=True)
-class Predicate:
-    """A named logical atom, optionally tagged with the index of the
-    spectral atom that produced it."""
-
-    name: str
-    source_atom: int | None = None
-
-    def __post_init__(self):
-        _check_identifier(self.name, "predicate name")
 
 
 @dataclass(frozen=True)
@@ -95,37 +83,20 @@ class BinningConfig:
 
 @dataclass(frozen=True)
 class SymbolSet:
-    """A set of predicates with set semantics over (name, source)."""
+    """A set of predicate names, each checked against the identifier grammar."""
 
-    predicates: frozenset[Predicate]
+    names: frozenset[str]
 
     def __post_init__(self):
-        predicates = frozenset(self.predicates)
-        object.__setattr__(self, "predicates", predicates)
-        # built once per set, since every set's names are read; not a field,
-        # so equality, hashing and to_json see only the predicates. A
-        # functools.cached_property would also give each set an instance
-        # dict on Python 3.11, one more object for the garbage collector.
-        object.__setattr__(self, "_names", frozenset(p.name for p in predicates))
+        for name in self.names:
+            _check_identifier(name, "predicate name")
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "SymbolSet":
-        return cls(frozenset(Predicate(n) for n in names))
-
-    @property
-    def names(self) -> frozenset[str]:
-        return self._names
-
-    def __len__(self) -> int:
-        return len(self.predicates)
-
-    def union_names(self, names: Iterable[str]) -> "SymbolSet":
-        known = self.names
-        extra = frozenset(Predicate(n) for n in names if n not in known)
-        return SymbolSet(self.predicates | extra)
+        return cls(frozenset(names))
 
     def to_json(self) -> list[str]:
-        """Serialized form: sorted unique predicate names."""
+        """Serialized form: sorted predicate names."""
         return sorted(self.names)
 
 
@@ -144,15 +115,14 @@ def project(sp: SparseSpectrum, cfg: BinningConfig) -> SymbolSet:
     predicates, or the single ``negligible`` marker when its amplitude is
     below the cutoff.
     """
-    preds: set[Predicate] = set()
-    for idx, atom in enumerate(sp.atoms):
+    names: set[str] = set()
+    for atom in sp.atoms:
         if atom.amp < cfg.negligible_eps:
-            preds.add(Predicate(NEGLIGIBLE, idx))
+            names.add(NEGLIGIBLE)
             continue
         for prefix, attr, axis_attr in _AXES:
             axis: BinAxis = getattr(cfg, axis_attr)
             label = axis.label_for(getattr(atom, attr))
             name = f"{prefix}_{label}" if label is not None else f"{prefix}_underflow"
-            preds.add(Predicate(name, idx))
-    return SymbolSet(frozenset(preds))
-
+            names.add(name)
+    return SymbolSet(frozenset(names))

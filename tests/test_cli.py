@@ -490,7 +490,7 @@ def test_bad_rules_exit_2(workdir, capsys):
     assert main(["reason", "--facts", str(preds), "--rules", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("facts", ["5", '{"a": 1}', '["a", 1]'])
+@pytest.mark.parametrize("facts", ["5", '{"a": 1}', '["a", 1]', '["Bad-Name"]'])
 def test_reason_rejects_facts_not_a_list_of_names(workdir, capsys, facts):
     rules = workdir / "rules.txt"
     rules.write_text("a => b\n")

@@ -284,6 +284,37 @@ def test_trace_json_roundtrip(tmp_path):
     assert replay(back, facts, rs)
 
 
+GOOD_STEP = {"rule_id": "main", "head": "c", "body_pos": ["a", "b"], "body_neg_checked": []}
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        # "ab" would read as the body ("a", "b"): a forged proof of a & b => c
+        [{**GOOD_STEP, "body_pos": "ab", "body_neg_checked": ""}],
+        [{**GOOD_STEP, "rule_id": 7}],
+        [{**GOOD_STEP, "head": ["x"]}],
+        [{**GOOD_STEP, "body_pos": ["a", 1]}],
+        [{**GOOD_STEP, "body_neg_checked": ["Bad-Name"]}],
+        [{k: v for k, v in GOOD_STEP.items() if k != "head"}],
+        [{**GOOD_STEP, "extra": None}],
+        [GOOD_STEP, list(GOOD_STEP.values())],
+        GOOD_STEP,
+    ],
+    ids=["body_a_string", "rule_id_a_number", "head_a_list", "body_with_a_number",
+         "name_outside_the_grammar", "missing_key", "extra_key", "record_a_list",
+         "trace_an_object"],
+)
+def test_trace_json_rejects_records_reason_does_not_write(tmp_path, records):
+    rs = parse_rules("a & b => c @main")
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps([GOOD_STEP]))
+    assert replay(load_trace_json(path), SymbolSet.from_names(["a", "b"]), rs)
+    path.write_text(json.dumps(records))
+    with pytest.raises(InputError):
+        load_trace_json(path)
+
+
 def test_rule_file_loading(tmp_path):
     path = tmp_path / "rules.txt"
     path.write_text("a => b @one\n# comment only\n")

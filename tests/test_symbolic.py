@@ -9,7 +9,6 @@ from speclogic import (
     InputError,
     LorentzianAtom,
     PipelineConfig,
-    Predicate,
     SparseSpectrum,
     SymbolSet,
     project,
@@ -58,9 +57,12 @@ def test_every_atom_contributes():
         LorentzianAtom(5.0, 0.7, 0.01),
         LorentzianAtom(9.0, 0.9, 3.0),
     )
-    out = project(sp, CFG)
-    sources = {p.source_atom for p in out.predicates}
-    assert sources == {0, 1, 2}
+    # one line of names per atom; atom 1 is negligible
+    assert project(sp, CFG).names == {
+        "resonance_low", "width_narrow", "amplitude_strong",
+        "negligible",
+        "resonance_high", "width_wide",
+    }
 
 
 def test_projection_deterministic():
@@ -94,10 +96,10 @@ def test_bin_axis_validation():
 
 def test_predicate_name_grammar():
     with pytest.raises(InputError):
-        Predicate("Resonance")
+        SymbolSet.from_names(["Resonance"])
     with pytest.raises(InputError):
-        Predicate("9lives")
-    Predicate("_ok_2")
+        SymbolSet.from_names(["a", "9lives"])
+    assert SymbolSet.from_names(["_ok_2"]).names == {"_ok_2"}
 
 
 def test_binning_serialization_roundtrip():
@@ -107,16 +109,8 @@ def test_binning_serialization_roundtrip():
 
 
 def test_symbolset_json_sorted_names():
-    s = SymbolSet(frozenset({Predicate("b", 1), Predicate("a", 0), Predicate("b", 2)}))
-    assert s.to_json() == ["a", "b"]
-
-
-def test_symbolset_names_are_built_once():
-    preds = frozenset({Predicate("b", 1), Predicate("a", 0), Predicate("b", 2)})
-    s = SymbolSet(preds)
-    assert s.names is s.names
-    assert s.names == frozenset(p.name for p in preds) == {"a", "b"}
-    # the cached names change neither equality, hashing nor the serialized form
-    fresh = SymbolSet(preds)
+    s = SymbolSet.from_names(["b", "a", "b"])
+    assert s.names == {"a", "b"} and s.to_json() == ["a", "b"]
+    fresh = SymbolSet(frozenset({"a", "b"}))
     assert s == fresh and hash(s) == hash(fresh) and s.to_json() == fresh.to_json()
-    assert s.union_names(["c"]).names == {"a", "b", "c"}
+    assert s != SymbolSet.from_names(["a"])

@@ -111,6 +111,14 @@ def test_binning_serialization_roundtrip():
 def test_symbolset_json_sorted_names():
     s = SymbolSet.from_names(["b", "a", "b"])
     assert s.names == {"a", "b"} and s.to_json() == ["a", "b"]
+
+
+def test_symbolset_names_are_built_once():
+    s = SymbolSet.from_names(["b", "a", "b"])
+    assert s.names is s.names
+    assert s.names == {"a", "b"}
+    # the stored names decide equality, hashing and the serialized form
     fresh = SymbolSet(frozenset({"a", "b"}))
     assert s == fresh and hash(s) == hash(fresh) and s.to_json() == fresh.to_json()
     assert s != SymbolSet.from_names(["a"])
+    assert SymbolSet.from_names(s.names | {"c"}).names == {"a", "b", "c"}

@@ -119,12 +119,10 @@ def reference_config(seed: int = 0) -> PipelineConfig:
     """Pipeline configuration used by the shipped benchmark."""
     from .pipeline import SparseSettings
 
-    # sv_tol 0.1: at the benchmark's noise levels, genuine mode directions
-    # keep singular-value ratios above ~0.7 while noise stays below ~0.05
     return PipelineConfig(
         binning=REFERENCE_BINNING,
         backend="matrix_pencil",
-        sparse=SparseSettings(k_max=3, sv_tol=0.1),
+        sparse=SparseSettings(k_max=3),
         rules_text=REFERENCE_RULES,
         seed=seed,
     )

@@ -53,7 +53,6 @@ from .pade import PoleSet, RationalApprox, extract_poles, fit_pade, taylor_coeff
 from .rules import ProofTrace, RuleSet, infer, load_rules, parse_rules
 from .signal import PreprocessConfig, TimeSeries, norm2, nrm2, preprocess, unit_scale
 from .sparse import (
-    SV_TOL_DEFAULT,
     FitHealth,
     LorentzianAtom,
     SparseSpectrum,
@@ -120,17 +119,13 @@ class LanczosSettings:
 
 @dataclass(frozen=True)
 class SparseSettings:
-    """Decomposition limits: ``k_max`` atoms, and the pencil's cutoff
-    ``sv_tol`` in [0, 1) on singular values relative to the largest."""
+    """Decomposition limits: ``k_max`` atoms."""
 
     k_max: int = 4
-    sv_tol: float = SV_TOL_DEFAULT
 
     def __post_init__(self):
         if self.k_max < 1:
             raise ConfigError(f"k_max must be positive, got {self.k_max}")
-        if not 0 <= self.sv_tol < 1:
-            raise ConfigError(f"sv_tol must lie in [0, 1), got {self.sv_tol}")
 
 
 def _matches(value, hint) -> bool:
@@ -337,7 +332,7 @@ def _estimate(series: list[TimeSeries], cfg: PipelineConfig) -> list[SparseSpect
             "use run_hermitian"
         )
     if cfg.backend == "matrix_pencil":
-        return fit_matrix_pencil(series, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
+        return fit_matrix_pencil(series, 2 * cfg.sparse.k_max, cfg.seed)
     return [_pade_z(x, cfg.pade) for x in series]
 
 

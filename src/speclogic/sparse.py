@@ -31,9 +31,6 @@ from .errors import ConvergenceError, InputError, NumericError
 from .pade import PoleSet
 from .signal import EPS, TimeSeries, eigenvalues, json_numbers, lapack_errstate, norm2, unit_scale
 
-#: Default relative singular-value cutoff for pencil order selection.
-SV_TOL_DEFAULT = 1e-8
-
 #: Longest series the pencil fits. Its Hankel copy holds n**2/4 floats: a run of 32768
 #: samples took 6 s at 2.1 GB peak RSS (reference_config, one BLAS thread, 2-core x86_64).
 MAX_PENCIL_SAMPLES = 2**15
@@ -52,6 +49,34 @@ MAX_PENCIL_SAMPLES = 2**15
 #:     128        0.934 -> 0.934 0.641 -> 0.656 0.500 -> 0.531 0.331 -> 0.347
 #:     384        1.000 -> 1.000 0.950 -> 0.959 0.897 -> 0.894 0.675 -> 0.703
 SKETCH_OVERSAMPLE = 5
+
+#: tau of the pencil's order rule (see :func:`_noise_floor_order`): direction
+#: r+1 is kept while sigma_{r+1} > tau * noise * (sqrt(m) + sqrt(k)). That
+#: edge is Marchenko-Pastur's for an m x k matrix of white noise, and the
+#: threshold idea Gavish & Donoho's (IEEE Trans. Inf. Theory 2014); the noise
+#: of a Hankel matrix repeats along its anti-diagonals and its edge lies
+#: higher, so tau is calibrated. Benchmark accuracy, run_benchmark(160,
+#: sigma, seed 7 and 8, n), mean of the two seeds, and the pass rate of 32
+#: shifted and 32 stationary criterion-10 detect streams with white noise:
+#:
+#:     tau    n=128: sigma 0.3  1.0   n=384: sigma 0.5  1.0   detect: sigma 0.05  0.1
+#:     1.0           0.663  0.450            0.909  0.728              0.281  0.109
+#:     1.25          0.672  0.481            0.919  0.797              0.828  0.766
+#:     1.5           0.669  0.453            0.928  0.784              1.000  0.891
+#:     1.75          0.666  0.409            0.925  0.725              1.000  0.891
+#:     2.0           0.666  0.372            0.916  0.637              1.000  0.844
+#:
+#: Below 1.5 noise directions raise false alarms in detect; above it genuine
+#: modes fall under the cut at high noise.
+ORDER_THRESHOLD = 1.5
+
+#: The Hankel energy outside the leading directions is floored at this many
+#: times eps * ||H||_F^2: on a clean input it cancels to rounding, or below 0,
+#: and rounding directions would clear that floor. At 16 no direction below
+#: about 1.3e-8 ||H||_F is kept on a 384-sample run's 192 x 193 Hankel matrix,
+#: 2.3e-8 on a 128-sample window's 64 x 65; multiples from 1 to 64 leave
+#: every test's result the same, and 0 keeps rounding directions.
+ROUNDING_FLOOR = 16
 
 #: Power iterations of the pencil's randomized range finder.
 POWER_ITERATIONS = 2
@@ -349,10 +374,39 @@ def _leading_svd(hank: np.ndarray, width: int, seed: int) -> tuple[np.ndarray, n
     return sv, np.swapaxes(u, 1, 2)
 
 
+def _noise_floor_order(s: np.ndarray, svs: np.ndarray, pencil: int) -> np.ndarray:
+    """Model order of each window of ``s`` (W, n), whose (n - pencil, pencil +
+    1) Hankel matrix H has the leading singular values ``svs`` (W, width):
+    the number of leading directions r+1 with
+
+        sigma_{r+1} > ORDER_THRESHOLD * noise(r+1) * (sqrt(m) + sqrt(k)),
+        noise(r+1)^2 = (||H||_F^2 - sum_{i <= r+1} sigma_i^2) / ((m-r-1)(k-r-1)),
+
+    before the first that fails; a direction with (m-r-1)(k-r-1) = 0 leaves
+    no energy to judge it by and is kept. The noise is read from outside the
+    candidate direction too, or at r = 0 the whole signal would count as
+    noise. ||H||_F^2 is a weighted sum of squared samples, sample j lying on
+    min(j+1, n-j) entries when pencil = n // 2, so no further SVD is needed.
+    The outside energy is floored at ROUNDING_FLOOR * eps * ||H||_F^2.
+    """
+    n = s.shape[1]
+    m, k = n - pencil, pencil + 1
+    j = np.arange(n)
+    energy = (s * s) @ np.minimum(j + 1, n - j)
+    sq = svs * svs
+    floor = ROUNDING_FLOOR * EPS * energy[:, None]
+    outside = np.maximum(energy[:, None] - np.cumsum(sq, axis=1), floor)
+    r1 = np.arange(1, svs.shape[1] + 1)
+    dof = (m - r1) * (k - r1)
+    edge = ORDER_THRESHOLD * (math.sqrt(m) + math.sqrt(k))
+    # sigma > edge * sqrt(outside / dof), squared and times dof, so dof = 0 divides nothing
+    keep = (sq * dof > edge * edge * outside) | (dof == 0)
+    return np.logical_and.accumulate(keep, axis=1).sum(axis=1)
+
+
 def fit_matrix_pencil(
     x: TimeSeries | Sequence[TimeSeries],
     max_modes: int,
-    sv_tol: float = SV_TOL_DEFAULT,
     seed: int = 0,
 ) -> SparseSpectrum | list[SparseSpectrum]:
     """Estimate damped modes from time samples by the Hankel matrix pencil.
@@ -367,8 +421,11 @@ def fit_matrix_pencil(
     of the Hankel matrix come from a randomized range finder of width
     ``max_modes + SKETCH_OVERSAMPLE`` whose Gaussian test matrix is drawn
     from ``seed``, so equal seeds give identical output (see
-    :func:`_leading_svd`). The model order is the number of those singular
-    values with sigma_i/sigma_1 > ``sv_tol``, capped at ``max_modes``.
+    :func:`_leading_svd`). The model order, capped at ``max_modes``, is read
+    from each window's own noise floor by :func:`_noise_floor_order`: a
+    leading direction is kept while its singular value clears
+    ORDER_THRESHOLD times the Marchenko-Pastur edge of the Hankel energy
+    left outside it, so clean and noisy inputs need no tuned cutoff.
     Amplitudes come from the least-squares Vandermonde solve, and
     :func:`_keep_rule`, the keep rule of :func:`atoms_from_poles`, maps the
     modes to atoms.
@@ -425,7 +482,7 @@ def fit_matrix_pencil(
     ).copy()
     width = min(max_modes + SKETCH_OVERSAMPLE, n - pencil, pencil + 1)
     svs, vhs = _leading_svd(hank, width, seed)
-    orders = np.minimum(np.count_nonzero(svs > sv_tol * svs[:, :1], axis=1), min(max_modes, pencil))
+    orders = np.minimum(_noise_floor_order(s, svs, pencil), min(max_modes, pencil))
 
     fits = [None] * len(windows)
     for order in sorted(set(orders.tolist())):  # np.unique would load numpy.ma

@@ -100,7 +100,7 @@ class SymbolSet:
         return sorted(self.names)
 
 
-# axis name -> (predicate prefix, atom attribute)
+# (predicate prefix, atom attribute, BinningConfig field) of each axis
 _AXES = (
     ("resonance", "omega", "omega_bins"),
     ("width", "gamma", "gamma_bins"),

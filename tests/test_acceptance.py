@@ -167,7 +167,7 @@ def test_criterion_5_lorentzian_recovery():
         clean = damped_modes(modes, n, dt)
         sigma = float(np.sqrt(np.mean(clean**2))) / 10**1.5
         noisy = TimeSeries(clean + sigma * rng.standard_normal(n), dt)
-        fit = fit_matrix_pencil(noisy, 2 * k, sv_tol=1e-2)
+        fit = fit_matrix_pencil(noisy, 2 * k)
         centers = [atom.omega for atom in fit.atoms]
         for w, _, _ in modes:
             assert centers, "no atoms recovered"
@@ -313,3 +313,38 @@ def test_criterion_10_anomaly_harness():
     for _ in range(50):
         assert flag(criterion10.stationary_stream(rng)) == [], "false positive on stationary signal"
     report(10, "anomaly harness: changepoints localized, zero false positives")
+
+
+def noisy_detect_pass_rate(sigma):
+    """Share of 32 shifted and 32 stationary criterion-10 streams that pass
+    with white noise of ``sigma`` added: a shifted stream's first flag
+    covers its changepoint, and a stationary stream raises none."""
+    streams, noise = np.random.default_rng(1010), np.random.default_rng(5)
+    cfg = criterion10.config()
+    passed = 0
+    for i in range(64):
+        if i < 32:
+            x, j = criterion10.shifted_stream(streams)
+        else:
+            x, j = criterion10.stationary_stream(streams), None
+        noisy = TimeSeries(x.samples + sigma * noise.standard_normal(criterion10.SAMPLES), x.dt)
+        flagged = detect_anomalies(
+            noisy, cfg, criterion10.WINDOW, criterion10.STRIDE, criterion10.HEAD
+        )
+        starts = [start for start, _ in flagged]
+        if j is None:
+            passed += starts == []
+        else:
+            passed += bool(starts) and starts[0] <= j < starts[0] + criterion10.WINDOW
+    return passed / 64
+
+
+def test_criterion_10_anomaly_harness_with_noise():
+    rate = noisy_detect_pass_rate(0.05)
+    assert rate >= 0.95, f"pass rate {rate:.3f} at sigma 0.05"
+    # recorded, not gated: at sigma 0.1, 5 stationary streams raise a flag
+    # from a window fitted just above the 3.06 bin edge (3.062-3.114), and 2
+    # shifted streams whose new mode has decayed to about the noise level by
+    # the changepoint (amplitude 0.12-0.14) are missed
+    loud = noisy_detect_pass_rate(0.1)
+    report(10, f"anomaly harness with noise: pass rate {rate:.3f} at sigma 0.05, {loud:.3f} at 0.1")

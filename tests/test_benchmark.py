@@ -98,3 +98,11 @@ def test_benchmark_confusion_diagonal():
         for predicted, count in row.items():
             assert predicted == truth, (truth, predicted)
             assert count == 2
+
+
+def test_clean_short_signals_keep_the_close_pair():
+    # at 128 samples the two_mode_close pair (delta omega 0.5-0.7) lies below
+    # the 2*pi/T Fourier limit and its second Hankel direction is weak; a
+    # cutoff relative to sigma_1 (0.1) merged the pair into one broad atom,
+    # and 6 of these 160 clean signals derived class_near_critical
+    assert run_benchmark(160, 0.0, seed=7, n=128).accuracy == 1.0

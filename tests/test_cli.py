@@ -205,10 +205,8 @@ def test_lanczos_backend_rejected_by_parser(workdir, capsys):
         {"sparse": {"omp_tol": 1e-6}},
         {"lanczos": {"reorthogonalize": True}},
         {"pade": {"residual_tol": 1e-8}},
+        {"sparse": {"sv_tol": 0.1}},
         {"seed": -2},
-        {"sparse": {"sv_tol": float("nan")}},
-        {"sparse": {"sv_tol": float("inf")}},
-        {"sparse": {"sv_tol": 1.0}},
         {"binning": {"omega_bins": {"edges": [0.0, float("nan"), 4.0, 8.0],
                                     "labels": ["low", "mid", "high", "hyper"]}}},
         {"binning": {"negligible_eps": float("inf")}},
@@ -219,9 +217,8 @@ def test_lanczos_backend_rejected_by_parser(workdir, capsys):
     ids=["unknown_key", "unknown_nested_key", "section_not_object", "axis_not_object",
          "wrong_scalar_type", "bool_as_int", "nested_bool_as_int", "removed_window",
          "removed_zero_pad_to", "removed_nls_iters", "removed_omp_tol",
-         "removed_reorthogonalize", "removed_residual_tol", "negative_seed", "sv_tol_nan",
-         "sv_tol_infinity", "sv_tol_one", "nan_bin_edge", "negligible_eps_infinity",
-         "eta_infinity", "bin_edge_past_float64"],
+         "removed_reorthogonalize", "removed_residual_tol", "removed_sv_tol", "negative_seed",
+         "nan_bin_edge", "negligible_eps_infinity", "eta_infinity", "bin_edge_past_float64"],
 )
 def test_malformed_config_exits_2(workdir, capsys, change):
     record = reference_config().to_dict()

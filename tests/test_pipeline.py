@@ -490,7 +490,7 @@ def test_batched_pencil_equals_each_window_alone(seed):
         estimates = pipeline._estimate(segments, cfg)
         assert len(estimates) == len(segments)
         for segment, fit in zip(segments, estimates):
-            alone = fit_matrix_pencil(segment, 2 * cfg.sparse.k_max, cfg.sparse.sv_tol, cfg.seed)
+            alone = fit_matrix_pencil(segment, 2 * cfg.sparse.k_max, cfg.seed)
             assert spectrum_record(fit) == spectrum_record(alone)
             assert run(segment, cfg, fit).to_json() == run(segment, cfg).to_json()
 
@@ -513,17 +513,22 @@ def test_one_batch_of_orders_0_2_and_6_equals_each_window_alone():
     rng = np.random.default_rng(4)
     t = np.arange(128) * 0.05
     cosine = np.exp(-0.1 * t) * np.cos(2.8 * t)
-    samples = [rng.standard_normal(128), np.zeros(128), cosine, np.zeros(128),
-               rng.standard_normal(128), 3.0 * np.exp(-0.2 * t) * np.cos(1.5 * t)]
+    three = cosine + 0.8 * np.exp(-0.05 * t) * np.cos(1.2 * t)
+    three += 0.6 * np.exp(-0.15 * t) * np.cos(4.1 * t)
+    other = np.exp(-0.3 * t) * np.cos(0.9 * t) + np.cos(2.2 * t)
+    other += 0.5 * np.exp(-0.1 * t) * np.cos(3.7 * t)
+    # white noise fits to order 0, like the zero windows
+    samples = [three, np.zeros(128), cosine, rng.standard_normal(128),
+               other, 3.0 * np.exp(-0.2 * t) * np.cos(1.5 * t)]
     orders = []
     for x in samples:  # the premise, from the exact Hankel singular values
         sv = np.linalg.svd(x[np.add.outer(np.arange(64), np.arange(65))], compute_uv=False)
-        orders.append(min(int(np.count_nonzero(sv > cfg.sparse.sv_tol * sv[0])), max_modes))
+        orders.append(min(int(sparse._noise_floor_order(x[None], sv[None], 64)[0]), max_modes))
     assert orders == [6, 0, 2, 0, 6, 2]
     segments = [TimeSeries(x, 0.05) for x in samples]
-    batch = fit_matrix_pencil(segments, max_modes, cfg.sparse.sv_tol, cfg.seed)
+    batch = fit_matrix_pencil(segments, max_modes, cfg.seed)
     for segment, fit in zip(segments, batch):
-        alone = fit_matrix_pencil(segment, max_modes, cfg.sparse.sv_tol, cfg.seed)
+        alone = fit_matrix_pencil(segment, max_modes, cfg.seed)
         assert spectrum_record(fit) == spectrum_record(alone)
 
 

@@ -355,7 +355,8 @@ def test_pencil_group_residuals_match_atoms_from_poles(monkeypatch):
     # orders 2, 4, 4, 2 and 6: three order groups in one batch. The third
     # window's growing pair (|z| = 1.01) is solved but dropped by the keep
     # rule; the fourth, at dt = 100, has an amplitude that overflows only at
-    # input scale. Noise keeps every residual far above rounding.
+    # input scale; the fifth holds three modes at 1e3. Noise keeps every
+    # residual far above rounding.
     rng = np.random.default_rng(5)
     k = np.arange(128)
     damped = np.exp(-0.02 * k) * np.cos(0.7 * k)
@@ -364,13 +365,14 @@ def test_pencil_group_residuals_match_atoms_from_poles(monkeypatch):
         damped + 0.6 * np.exp(-0.03 * k) * np.cos(1.9 * k),
         damped + 0.5 * 1.01**k * np.cos(2.2 * k),
         1e306 * np.exp(-0.2 * k) * np.cos(0.7 * k),
-        1e3 * rng.standard_normal(128),
+        1e3 * (damped + np.exp(-0.01 * k) * np.cos(1.3 * k)
+               + 0.7 * np.exp(-0.04 * k) * np.cos(2.6 * k)),
     ]
     windows = [
         TimeSeries(x + 1e-3 * unit_scale(x) * rng.standard_normal(128), 100.0 if i == 3 else 0.05)
         for i, x in enumerate(samples)
     ]
-    batch = fit_matrix_pencil(windows, 6, sv_tol=1e-2)
+    batch = fit_matrix_pencil(windows, 6)
 
     calls = []
     keep_rule = sparse._keep_rule
@@ -383,7 +385,7 @@ def test_pencil_group_residuals_match_atoms_from_poles(monkeypatch):
     orders, moduli = [], []
     for window, fit in zip(windows, batch):
         calls.clear()
-        alone = fit_matrix_pencil(window, 6, sv_tol=1e-2)
+        alone = fit_matrix_pencil(window, 6)
         assert spectrum_record(fit) == spectrum_record(alone)
         ((z, c, dt, scale),) = calls
         direct = atoms_from_poles(PoleSet(z, c), dt, window.samples / scale, scale)
@@ -434,6 +436,45 @@ def test_pencil_flat_singular_spectrum(samples):
     # every singular value is alike, so the sketch may pick another subspace
     # than the exact SVD would: only validity and silence are asserted
     assert len(pencil_no_warnings(samples).atoms) <= 8
+
+
+def loop_noise_floor_order(x, pencil):
+    """The pencil's order rule over the exact SVD of the Hankel matrix, as a
+    plain loop with ||H||_F from the matrix itself."""
+    n = len(x)
+    hank = x[np.add.outer(np.arange(n - pencil), np.arange(pencil + 1))]
+    m, k = hank.shape
+    energy = np.linalg.norm(hank) ** 2
+    sv = np.linalg.svd(hank, compute_uv=False)
+    floor = sparse.ROUNDING_FLOOR * np.finfo(float).eps * energy
+    edge = sparse.ORDER_THRESHOLD * (math.sqrt(m) + math.sqrt(k))
+    order = 0
+    for r1, sigma in enumerate(sv, start=1):
+        outside = max(energy - np.sum(sv[:r1] ** 2), floor)
+        dof = (m - r1) * (k - r1)
+        if dof and not sigma > edge * math.sqrt(outside / dof):
+            break
+        order = r1
+    return order
+
+
+@pytest.mark.parametrize("n", [9, 18, 127, 128])
+def test_noise_floor_order_matches_a_loop_over_the_exact_hankel(n):
+    # the Hankel energy from weighted squared samples, stacked over windows,
+    # against the matrix's own norm: one mode, two, noise alone, zeros
+    rng = np.random.default_rng(n)
+    t = np.arange(n) * 0.05
+    one = np.exp(-0.3 * t) * np.cos(2.0 * t)
+    two = one + 0.5 * np.exp(-0.1 * t) * np.cos(3.5 * t)
+    noisy = two + 0.01 * rng.standard_normal(n)
+    windows = np.array([one, two, noisy, rng.standard_normal(n), np.zeros(n)])
+    pencil = n // 2
+    hank = windows[:, np.add.outer(np.arange(n - pencil), np.arange(pencil + 1))]
+    svs = np.linalg.svd(hank, compute_uv=False)
+    expected = [loop_noise_floor_order(x, pencil) for x in windows]
+    assert sparse._noise_floor_order(windows, svs, pencil).tolist() == expected
+    if n >= 127:
+        assert expected == [2, 4, 4, 0, 0]
 
 
 def test_pencil_minimum_length_sketch_is_exact():

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .pipeline import PipelineConfig, RunResult, run
+from .pipeline import PipelineConfig, RunResult, SparseSettings, run
 from .rules import replay
 from .signal import TimeSeries
 from .symbolic import BinAxis, BinningConfig
@@ -117,8 +117,6 @@ resonance_high & width_ultra_narrow & amplitude_strong & !width_narrow => class_
 
 def reference_config(seed: int = 0) -> PipelineConfig:
     """Pipeline configuration used by the shipped benchmark."""
-    from .pipeline import SparseSettings
-
     return PipelineConfig(
         binning=REFERENCE_BINNING,
         backend="matrix_pencil",

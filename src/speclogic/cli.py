@@ -30,12 +30,13 @@ from .benchmark import (
 )
 from .errors import InputError, NumericError
 from .pipeline import SIGNAL_BACKENDS, PipelineConfig, detect_anomalies, run
-from .rules import infer, load_rules
+from .rules import infer, parse_rules
 from .signal import (
     TimeSeries,
     load_timeseries_csv,
     load_timeseries_json,
     read_json,
+    read_text,
     save_timeseries_csv,
     unit_scale,
     write_csv,
@@ -58,7 +59,7 @@ def _load_config(args) -> PipelineConfig:
     if getattr(args, "backend", None):
         overrides["backend"] = args.backend
     if getattr(args, "rules", None):
-        overrides.update(rules_path=args.rules, rules_text=None)
+        overrides["rules_text"] = read_text(args.rules)
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     return replace(cfg, **overrides)
@@ -103,7 +104,7 @@ def _cmd_estimate(args) -> int:
     if not 2 <= args.grid_points <= MAX_POINTS:
         raise InputError(f"--grid-points must lie in [2, {MAX_POINTS}], got {args.grid_points}")
     # the atoms never depend on the rules, so a config need not name any
-    cfg = replace(_load_config(args), rules_path=None, rules_text="")
+    cfg = replace(_load_config(args), rules_text="")
     result = run(_load_signal(args.input), cfg)
     spectrum_out, atoms_out = args.spectrum_out, args.atoms_out
     with _claimed(spectrum_out, atoms_out):
@@ -134,7 +135,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_reason(args) -> int:
-    rules = load_rules(args.rules)
+    rules = parse_rules(read_text(args.rules))
     names = read_json(args.facts)
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise InputError(f"{args.facts}: expected a JSON list of predicate names")
@@ -196,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="pipeline config JSON (defaults to the built-in)")
         p.add_argument("--backend", choices=SIGNAL_BACKENDS)
-        p.add_argument("--rules", help="override: rule file path")
         p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("estimate", help="signal -> Lorentzian atoms (JSON) + spectrum CSV")
@@ -223,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="end-to-end pipeline run")
     p.add_argument("--input", required=True)
     p.add_argument("--out", help="canonical result JSON path (stdout when omitted)")
+    p.add_argument("--rules", help="override: rule file, read as the config's rules_text")
     add_common(p)
     p.set_defaults(fn=_cmd_run)
 
@@ -232,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, required=True)
     p.add_argument("--alert", required=True, help="alerting head predicate")
     p.add_argument("--out")
+    p.add_argument("--rules", help="override: rule file, read as the config's rules_text")
     add_common(p)
     p.set_defaults(fn=_cmd_detect)
 

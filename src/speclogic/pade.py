@@ -146,7 +146,8 @@ def fit_pade(c, m: int, n: int) -> RationalApprox:
     is solved by least squares (:func:`_lstsq`). The numerator is the
     convolution of 1, b_1..b_n with c_0..c_m, truncated to m+1 terms.
 
-    Requires at least m+n+1 coefficients. Raises
+    Requires at least m+n+1 coefficients, and reads and checks for
+    finiteness only c_0..c_{m+n}. Raises
     :class:`~speclogic.errors.IllConditionedError` when the moment system
     cannot be solved to residual 1e-6*||c|| even in the least-squares sense.
     """
@@ -157,10 +158,9 @@ def fit_pade(c, m: int, n: int) -> RationalApprox:
         raise InputError(
             f"need at least {m + n + 1} series coefficients for [{m}/{n}], got {c.size}"
         )
-    if not np.isfinite(c).all():
-        raise InputError("series coefficients must be finite")
-
     used = c[: m + n + 1]
+    if not np.isfinite(used).all():
+        raise InputError("series coefficients must be finite")
     if n == 0:
         return RationalApprox(used[: m + 1].copy(), np.empty(0), m, n)
     scale = norm2(used)

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .lanczos import HermitianOp, RitzSpectrum, TridiagResult, lanczos_tridiag, tridiag_eigen
 from .pade import PoleSet, RationalApprox, extract_poles, fit_pade, taylor_coefficients
-from .rules import ProofTrace, RuleSet, infer, load_rules, parse_rules
+from .rules import ProofTrace, RuleSet, infer, parse_rules
 from .signal import PreprocessConfig, TimeSeries, norm2, nrm2, preprocess, unit_scale
 from .sparse import (
     FitHealth,
@@ -169,9 +169,9 @@ def _from_record(cls, record, where: str):
 class PipelineConfig:
     """Everything a run needs; serializable to a single JSON object.
 
-    Rules come either from ``rules_path`` or inline ``rules_text`` (exactly
-    one must be set before running). Derive variants with
-    :func:`dataclasses.replace`; each instance parses its rules at most once.
+    The rules are the text ``rules_text``, which must be set before running.
+    Derive variants with :func:`dataclasses.replace`; each instance parses
+    its rules at most once.
     """
 
     binning: BinningConfig
@@ -180,7 +180,6 @@ class PipelineConfig:
     pade: PadeSettings = field(default_factory=PadeSettings)
     lanczos: LanczosSettings = field(default_factory=LanczosSettings)
     sparse: SparseSettings = field(default_factory=SparseSettings)
-    rules_path: str | None = None
     rules_text: str | None = None
     seed: int = 0
 
@@ -195,13 +194,9 @@ class PipelineConfig:
     def load_ruleset(self) -> RuleSet:
         """Parse (and cache) the configured rules; validates stratification."""
         if self._ruleset is None:
-            if (self.rules_path is None) == (self.rules_text is None):
-                raise ConfigError("exactly one of rules_path or rules_text must be set")
-            if self.rules_text is not None:
-                ruleset = parse_rules(self.rules_text)
-            else:
-                ruleset = load_rules(self.rules_path)
-            object.__setattr__(self, "_ruleset", ruleset)
+            if self.rules_text is None:
+                raise ConfigError("rules_text must be set")
+            object.__setattr__(self, "_ruleset", parse_rules(self.rules_text))
         return self._ruleset
 
     def to_dict(self) -> dict:
@@ -268,6 +263,8 @@ def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
         raise InputError(f"n_max must be positive, got {n_max}")
     if c.size < 2:
         raise InputError(f"need at least 2 series coefficients, got {c.size}")
+    if not np.isfinite(c).all():
+        raise InputError("series coefficients must be finite")
     scale = nrm2(c)
     if scale == 0:
         return SweepResult(fit_pade(c, 0, 1), 0.0, True)

@@ -1,6 +1,6 @@
 """Propositional Horn rules: parsing, stratified forward chaining, proofs.
 
-Rule files contain one rule per line (``#`` starts a comment):
+Rule text holds one rule per line (``#`` starts a comment):
 
     rule := body "=>" IDENT ["@" IDENT]
     body := lit { "&" lit }
@@ -25,10 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from pathlib import Path
 
 from .errors import InputError, RuleSyntaxError, StratificationError
-from .signal import read_json, read_text
 from .symbolic import IDENTIFIER_RE, SymbolSet, _check_identifier
 
 _TOKEN_RE = re.compile(r"(=>|&|!|@|[A-Za-z][A-Za-z0-9_]*|_[A-Za-z0-9_]*)")
@@ -84,52 +82,30 @@ def _stratify(rules: tuple[HornRule, ...]) -> dict[str, int]:
         preds.add(rule.head)
         preds.update(l.name for l in rule.body)
     stratum = {p: 0 for p in preds}
+    raised_by: dict[str, str] = {}  # head -> the body name that last raised it
     # Relax until stable. A stratified program never needs a stratum beyond
     # len(preds)-1 (an increasing path visits distinct predicates), so any
-    # demand at or above len(preds) proves a cycle through negation.
+    # demand at or above len(preds) proves a cycle through negation. The
+    # raised_by links from its head then run into a cycle of positive weight,
+    # i.e. with a negated step (Cormen et al., Introduction to Algorithms,
+    # 24.1), which is reported closed, in body -> head order.
     while True:
         changed = False
         for rule in rules:
             for lit in rule.body:
                 need = stratum[lit.name] + (1 if lit.negated else 0)
                 if stratum[rule.head] < need:
+                    raised_by[rule.head] = lit.name
                     if need >= len(preds):
-                        raise StratificationError(_find_negative_cycle(rules))
+                        walk = [rule.head]
+                        while walk[-1] not in walk[:-1]:
+                            walk.append(raised_by[walk[-1]])
+                        cycle = walk[walk.index(walk[-1]) :]
+                        raise StratificationError(tuple(reversed(cycle)))
                     stratum[rule.head] = need
                     changed = True
         if not changed:
             return stratum
-
-
-def _find_negative_cycle(rules: tuple[HornRule, ...]) -> tuple[str, ...]:
-    """Locate a dependency cycle containing a negated edge, for reporting."""
-    edges: dict[str, set[str]] = {}
-    neg_edges = set()
-    for rule in rules:
-        for lit in rule.body:
-            edges.setdefault(lit.name, set()).add(rule.head)
-            if lit.negated:
-                neg_edges.add((lit.name, rule.head))
-    for src, dst in sorted(neg_edges):
-        # path dst -> src closes the cycle through this negative edge
-        path = _find_path(edges, dst, src)
-        if path is not None:
-            return (src,) + tuple(path)
-    return tuple(sorted({p for e in neg_edges for p in e}))
-
-
-def _find_path(edges: dict[str, set[str]], start: str, goal: str) -> list[str] | None:
-    stack = [(start, [start])]
-    seen = {start}
-    while stack:
-        node, path = stack.pop()
-        if node == goal:
-            return path
-        for nxt in sorted(edges.get(node, ()), reverse=True):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, path + [nxt]))
-    return None
 
 
 @dataclass(frozen=True)
@@ -296,11 +272,6 @@ def _parse_rule(tokens: list[tuple[str, int]], lineno: int, position: int) -> Ho
     return HornRule(tuple(body), head, rule_id)
 
 
-def load_rules(path: str | Path) -> RuleSet:
-    """Parse a UTF-8 rule file."""
-    return parse_rules(read_text(path))
-
-
 def format_rules(rs: RuleSet) -> str:
     """Print a rule set in the concrete syntax; parses back to an equal set."""
     return "\n".join(str(rule) for rule in rs.rules) + ("\n" if rs.rules else "")
@@ -359,7 +330,3 @@ def replay(trace: ProofTrace, facts: SymbolSet, rs: RuleSet) -> bool:
         known.add(step.head)
     derived, _ = infer(rs, facts)
     return known == set(derived.names)
-
-
-def load_trace_json(path: str | Path) -> ProofTrace:
-    return ProofTrace.from_json(read_json(path))

@@ -8,8 +8,8 @@ import pytest
 from speclogic import signal
 from speclogic.benchmark import reference_config
 from speclogic.cli import main
-from speclogic.rules import infer, load_rules, load_trace_json, replay
-from speclogic.signal import TimeSeries, save_timeseries_csv
+from speclogic.rules import ProofTrace, infer, parse_rules, replay
+from speclogic.signal import TimeSeries, read_json, read_text, save_timeseries_csv
 from speclogic.sparse import MAX_PENCIL_SAMPLES
 from speclogic.symbolic import SymbolSet
 
@@ -105,10 +105,10 @@ def test_reason_trace_file_is_the_printed_form_and_replays(workdir):
     path = workdir / "trace.json"
     assert main(["reason", "--facts", str(workdir / "facts.json"), "--rules", str(rules),
                  "--trace-out", str(path)]) == 0
-    rs, facts = load_rules(rules), SymbolSet.from_names(["a"])
+    rs, facts = parse_rules(read_text(rules)), SymbolSet.from_names(["a"])
     _, trace = infer(rs, facts)
     assert path.read_text() == json.dumps(trace.to_json(), indent=2, sort_keys=True) + "\n"
-    back = load_trace_json(path)
+    back = ProofTrace.from_json(read_json(path))
     assert back == trace and replay(back, facts, rs)
 
 
@@ -180,6 +180,22 @@ def test_backend_and_rules_overrides(workdir):
     record = json.loads(out.read_text())
     assert "spotted" in record["derived"]
     assert record["diagnostics"]["estimate"]["backend"] == "pade_z"
+    # --rules reads the file into rules_text: a config holding its text derives the same bytes
+    cfg_path = workdir / "cfg.json"
+    cfg_path.write_text(json.dumps({**reference_config().to_dict(), "backend": "pade_z",
+                                    "rules_text": rules.read_text()}))
+    from_config = workdir / "res_config.json"
+    assert main(["run", "--input", str(sig), "--config", str(cfg_path),
+                 "--out", str(from_config)]) == 0
+    assert from_config.read_bytes() == out.read_bytes()
+
+
+def test_estimate_offers_no_rules_flag(workdir, capsys):
+    # the atoms never depend on the rules
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--input", str(workdir / "sig.csv"), "--rules", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rules x" in capsys.readouterr().err
 
 
 def test_lanczos_backend_rejected_by_parser(workdir, capsys):
@@ -206,6 +222,7 @@ def test_lanczos_backend_rejected_by_parser(workdir, capsys):
         {"lanczos": {"reorthogonalize": True}},
         {"pade": {"residual_tol": 1e-8}},
         {"sparse": {"sv_tol": 0.1}},
+        {"rules_path": "rules.txt"},
         {"seed": -2},
         {"binning": {"omega_bins": {"edges": [0.0, float("nan"), 4.0, 8.0],
                                     "labels": ["low", "mid", "high", "hyper"]}}},
@@ -217,8 +234,9 @@ def test_lanczos_backend_rejected_by_parser(workdir, capsys):
     ids=["unknown_key", "unknown_nested_key", "section_not_object", "axis_not_object",
          "wrong_scalar_type", "bool_as_int", "nested_bool_as_int", "removed_window",
          "removed_zero_pad_to", "removed_nls_iters", "removed_omp_tol",
-         "removed_reorthogonalize", "removed_residual_tol", "removed_sv_tol", "negative_seed",
-         "nan_bin_edge", "negligible_eps_infinity", "eta_infinity", "bin_edge_past_float64"],
+         "removed_reorthogonalize", "removed_residual_tol", "removed_sv_tol", "removed_rules_path",
+         "negative_seed", "nan_bin_edge", "negligible_eps_infinity", "eta_infinity",
+         "bin_edge_past_float64"],
 )
 def test_malformed_config_exits_2(workdir, capsys, change):
     record = reference_config().to_dict()

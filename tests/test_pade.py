@@ -79,6 +79,16 @@ def test_insufficient_coefficients():
         fit_pade([1.0, 2.0, 3.0], -1, 1)
 
 
+def test_fit_pade_checks_only_the_coefficients_it_reads():
+    # [1/1] reads c_0..c_2: a NaN there is an InputError, and a NaN past
+    # them leaves the fit as it is, bit for bit
+    c = [1.0, 1.0, 0.5, 1.0 / 6.0]
+    with pytest.raises(InputError, match="finite"):
+        fit_pade([1.0, np.nan, 0.5, 1.0 / 6.0], 1, 1)
+    r, tail_nan = fit_pade(c, 1, 1), fit_pade(c[:3] + [np.nan], 1, 1)
+    assert r.a.tobytes() == tail_nan.a.tobytes() and r.b.tobytes() == tail_nan.b.tobytes()
+
+
 def test_ill_conditioned_reports_residual():
     # moment rows [[0,0],[1,0]] cannot meet rhs [-1,-1]: c_1 + b_1*c_0 = 0
     # is unsatisfiable with c_0 = 0, c_1 = 1

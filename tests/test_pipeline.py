@@ -625,6 +625,15 @@ def test_auto_order_sweep_one_pole():
     assert sweep.converged
 
 
+def test_auto_order_sweep_rejects_a_nan_past_every_fit():
+    # n_max 1 fits only [0/1], which reads c_0..c_1; the sweep checks the
+    # whole series once, before its first fit
+    series = 0.8 ** np.arange(30)
+    series[-1] = np.nan
+    with pytest.raises(InputError, match="finite"):
+        auto_order_sweep(series, 1, 1e-8)
+
+
 def test_auto_order_sweep_infinite_tolerance():
     rng = np.random.default_rng(2)
     sweep = auto_order_sweep(rng.standard_normal(40), 5, np.inf)
@@ -844,6 +853,8 @@ def test_config_json_roundtrip(tmp_path):
     path.write_text(json.dumps(cfg.to_dict()))
     back = PipelineConfig.from_dict(read_json(path))
     assert back.to_dict() == cfg.to_dict()
+    x = damped_cosine(2.0, 0.2)
+    assert run(x, back).to_json() == run(x, cfg).to_json()
 
 
 def test_readme_config_example_loads():
@@ -868,7 +879,7 @@ def test_config_validation():
         PipelineConfig(binning=wide_open_bins(), seed=-1)
     cfg = PipelineConfig(binning=wide_open_bins())
     with pytest.raises(ConfigError):
-        cfg.load_ruleset()  # neither rules_path nor rules_text
+        cfg.load_ruleset()  # no rules_text
 
 
 def test_config_is_frozen():

@@ -14,7 +14,8 @@ from speclogic import (
     parse_rules,
     replay,
 )
-from speclogic.rules import Literal, ProofTrace, load_rules, load_trace_json
+from speclogic.rules import Literal, ProofTrace
+from speclogic.signal import read_json, read_text
 
 
 def names(symbolset):
@@ -53,11 +54,48 @@ def test_unstratified_negation_rejected():
     assert "b" in err.value.cycle
 
 
+def _check_cycle(cycle, rules):
+    """``cycle`` is closed, each step is a body -> head edge of some rule in
+    ``rules`` (pairs of body literals and head), and one step is negated."""
+    negated = {}  # (body name, head) -> whether some rule negates the literal
+    for body, head in rules:
+        for lit in body:
+            key = (lit.lstrip("!"), head)
+            negated[key] = negated.get(key, False) or lit.startswith("!")
+    steps = list(zip(cycle, cycle[1:]))
+    assert steps and cycle[0] == cycle[-1]
+    assert all(step in negated for step in steps)
+    assert any(negated[step] for step in steps)
+
+
 def test_unstratified_cycle_through_chain():
     text = "a & !c => b\nb => c\n"
     with pytest.raises(StratificationError) as err:
         parse_rules(text)
     assert {"b", "c"} <= set(err.value.cycle)
+    _check_cycle(err.value.cycle, [(["a", "!c"], "b"), (["b"], "c")])
+    # seeded random programs: strata put each head at or above its positive
+    # body names and above its negated ones, and each rejection names a
+    # closed cycle through negation
+    rng = np.random.default_rng(31)
+    pool = [f"p{i}" for i in range(7)]
+    rejected = 0
+    for _ in range(2000):
+        rules = []
+        for _ in range(rng.integers(1, 8)):
+            body = [("!" if rng.random() < 0.3 else "") + str(name)
+                    for name in rng.choice(pool, rng.integers(1, 4), replace=False)]
+            rules.append((body, str(rng.choice(pool))))
+        try:
+            rs = parse_rules("".join(" & ".join(body) + f" => {head}\n" for body, head in rules))
+        except StratificationError as exc:
+            _check_cycle(exc.cycle, rules)
+            rejected += 1
+            continue
+        for body, head in rules:
+            for lit in body:
+                assert rs.strata[head] >= rs.strata[lit.lstrip("!")] + lit.startswith("!")
+    assert 0 < rejected < 2000
 
 
 def test_negation_through_positive_cycle_is_fine():
@@ -279,7 +317,7 @@ def test_trace_json_roundtrip(tmp_path):
     _, trace = infer(rs, facts)
     path = tmp_path / "trace.json"
     path.write_text(json.dumps(trace.to_json()))
-    back = load_trace_json(path)
+    back = ProofTrace.from_json(read_json(path))
     assert back == trace
     assert replay(back, facts, rs)
 
@@ -309,15 +347,15 @@ def test_trace_json_rejects_records_reason_does_not_write(tmp_path, records):
     rs = parse_rules("a & b => c @main")
     path = tmp_path / "trace.json"
     path.write_text(json.dumps([GOOD_STEP]))
-    assert replay(load_trace_json(path), SymbolSet.from_names(["a", "b"]), rs)
+    assert replay(ProofTrace.from_json(read_json(path)), SymbolSet.from_names(["a", "b"]), rs)
     path.write_text(json.dumps(records))
     with pytest.raises(InputError):
-        load_trace_json(path)
+        ProofTrace.from_json(read_json(path))
 
 
 def test_rule_file_loading(tmp_path):
     path = tmp_path / "rules.txt"
     path.write_text("a => b @one\n# comment only\n")
-    rs = load_rules(path)
+    rs = parse_rules(read_text(path))
     assert len(rs) == 1
     assert rs.rules[0].id == "one"

@@ -23,8 +23,7 @@ replayable proof trace ordered by (stratum, pass, rule position).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import InputError, RuleSyntaxError, StratificationError
 from .symbolic import IDENTIFIER_RE, SymbolSet, _check_identifier
@@ -33,45 +32,29 @@ _TOKEN_RE = re.compile(r"(=>|&|!|@|[A-Za-z][A-Za-z0-9_]*|_[A-Za-z0-9_]*)")
 
 
 @dataclass(frozen=True)
-class Literal:
-    """A possibly negated predicate occurrence in a rule body."""
-
-    name: str
-    negated: bool = False
-
-    def __post_init__(self):
-        _check_identifier(self.name, "literal name")
-
-    def __str__(self) -> str:
-        return ("!" if self.negated else "") + self.name
-
-
-@dataclass(frozen=True)
 class HornRule:
-    """body_1 & ... & body_k => head, with a stable identifier."""
+    """pos_1 & ... & !neg_1 & ... => head, with a stable identifier. The
+    bodies ``pos`` and ``neg``, not both empty, are sorted distinct names."""
 
-    body: tuple[Literal, ...]
+    pos: tuple[str, ...]
+    neg: tuple[str, ...]
     head: str
     id: str
 
     def __post_init__(self):
-        if not self.body:
-            raise InputError("rule body must be non-empty")
-        if len(set(self.body)) != len(self.body):
-            raise InputError(f"rule {self.id!r} has duplicate body literals")
-        _check_identifier(self.head, "head")
         _check_identifier(self.id, "rule id")
-
-    @cached_property
-    def positive_names(self) -> frozenset[str]:
-        return frozenset(l.name for l in self.body if not l.negated)
-
-    @cached_property
-    def negative_names(self) -> frozenset[str]:
-        return frozenset(l.name for l in self.body if l.negated)
+        _check_identifier(self.head, "head")
+        for body in (self.pos, self.neg):
+            for name in body:
+                _check_identifier(name, "literal name")
+            if body != tuple(sorted(set(body))):
+                raise InputError(f"rule {self.id!r}: each body must be sorted distinct names")
+        if not (self.pos or self.neg):
+            raise InputError(f"rule {self.id!r}: the body must be non-empty")
 
     def __str__(self) -> str:
-        return " & ".join(str(l) for l in self.body) + f" => {self.head} @{self.id}"
+        body = [*self.pos, *("!" + name for name in self.neg)]
+        return " & ".join(body) + f" => {self.head} @{self.id}"
 
 
 def _stratify(rules: tuple[HornRule, ...]) -> dict[str, int]:
@@ -80,7 +63,7 @@ def _stratify(rules: tuple[HornRule, ...]) -> dict[str, int]:
     preds = set()
     for rule in rules:
         preds.add(rule.head)
-        preds.update(l.name for l in rule.body)
+        preds.update(rule.pos, rule.neg)
     stratum = {p: 0 for p in preds}
     raised_by: dict[str, str] = {}  # head -> the body name that last raised it
     # Relax until stable. A stratified program never needs a stratum beyond
@@ -92,18 +75,19 @@ def _stratify(rules: tuple[HornRule, ...]) -> dict[str, int]:
     while True:
         changed = False
         for rule in rules:
-            for lit in rule.body:
-                need = stratum[lit.name] + (1 if lit.negated else 0)
-                if stratum[rule.head] < need:
-                    raised_by[rule.head] = lit.name
-                    if need >= len(preds):
-                        walk = [rule.head]
-                        while walk[-1] not in walk[:-1]:
-                            walk.append(raised_by[walk[-1]])
-                        cycle = walk[walk.index(walk[-1]) :]
-                        raise StratificationError(tuple(reversed(cycle)))
-                    stratum[rule.head] = need
-                    changed = True
+            for body, step in ((rule.pos, 0), (rule.neg, 1)):
+                for name in body:
+                    need = stratum[name] + step
+                    if stratum[rule.head] < need:
+                        raised_by[rule.head] = name
+                        if need >= len(preds):
+                            walk = [rule.head]
+                            while walk[-1] not in walk[:-1]:
+                                walk.append(raised_by[walk[-1]])
+                            cycle = walk[walk.index(walk[-1]) :]
+                            raise StratificationError(tuple(reversed(cycle)))
+                        stratum[rule.head] = need
+                        changed = True
         if not changed:
             return stratum
 
@@ -132,53 +116,42 @@ class RuleSet:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    """One rule firing: the facts present and the absences checked."""
-
-    rule_id: str
-    head: str
-    body_pos: tuple[str, ...]
-    body_neg_checked: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "rule_id": self.rule_id,
-            "head": self.head,
-            "body_pos": list(self.body_pos),
-            "body_neg_checked": list(self.body_neg_checked),
-        }
-
-
-@dataclass(frozen=True)
 class ProofTrace:
-    """Firings in derivation order; replaying them re-derives the fixpoint."""
+    """The rules that fired, in derivation order; replaying them re-derives
+    the fixpoint."""
 
-    steps: tuple[TraceStep, ...]
+    steps: tuple[HornRule, ...]
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def to_json(self) -> list[dict]:
-        return [s.to_dict() for s in self.steps]
+        return [
+            {"rule_id": r.id, "head": r.head, "body_pos": list(r.pos),
+             "body_neg_checked": list(r.neg)}
+            for r in self.steps
+        ]
 
     @classmethod
     def from_json(cls, records) -> "ProofTrace":
         """The trace :meth:`to_json` wrote: a list of objects with exactly a
-        step's four keys, an identifier rule id and head and two lists of
-        identifiers. Anything else is an :class:`InputError`."""
+        step's four keys, an identifier rule id and head and two sorted lists
+        of distinct identifiers, not both empty. Anything else is an
+        :class:`InputError`."""
         if not isinstance(records, list):
             raise InputError("a trace must be a JSON list of records")
-        keys = tuple(f.name for f in fields(TraceStep))
+        keys = ("rule_id", "head", "body_pos", "body_neg_checked")
         steps = []
         for i, r in enumerate(records):
             if not (isinstance(r, dict) and r.keys() == set(keys)):
                 raise InputError(f"trace record {i} must be an object with the keys {keys}")
-            rule_id, head, body_pos, body_neg = (r[k] for k in keys)
-            if not (isinstance(body_pos, list) and isinstance(body_neg, list)):
+            rule_id, head, pos, neg = (r[k] for k in keys)
+            if not (isinstance(pos, list) and isinstance(neg, list)):
                 raise InputError(f"trace record {i}: the bodies must be lists of names")
-            for name in (rule_id, head, *body_pos, *body_neg):
-                _check_identifier(name, f"trace record {i}: name")
-            steps.append(TraceStep(rule_id, head, tuple(body_pos), tuple(body_neg)))
+            try:
+                steps.append(HornRule(tuple(pos), tuple(neg), head, rule_id))
+            except InputError as exc:
+                raise InputError(f"trace record {i}: {exc}") from None
         return cls(tuple(steps))
 
 
@@ -233,18 +206,18 @@ def _expect_ident(tokens: list[tuple[str, int]], i: int, lineno: int, what: str)
 
 
 def _parse_rule(tokens: list[tuple[str, int]], lineno: int, position: int) -> HornRule:
-    body: list[Literal] = []
+    pos: set[str] = set()
+    neg: set[str] = set()
     i = 0
     while True:
-        negated = False
-        if i < len(tokens) and tokens[i][0] == "!":
-            negated = True
-            i += 1
+        negated = i < len(tokens) and tokens[i][0] == "!"
+        i += negated
+        body = neg if negated else pos
         name = _expect_ident(tokens, i, lineno, "literal")
-        lit = Literal(name, negated)
-        if lit in body:
+        if name in body:
+            lit = "!" * negated + name
             raise RuleSyntaxError(f"duplicate body literal {lit}", lineno, tokens[i][1])
-        body.append(lit)
+        body.add(name)
         i += 1
         if i >= len(tokens):
             raise RuleSyntaxError("expected '&' or '=>' after literal", lineno, tokens[i - 1][1])
@@ -269,11 +242,12 @@ def _parse_rule(tokens: list[tuple[str, int]], lineno: int, position: int) -> Ho
     if i < len(tokens):
         tok, col = tokens[i]
         raise RuleSyntaxError(f"unexpected trailing token {tok!r}", lineno, col)
-    return HornRule(tuple(body), head, rule_id)
+    return HornRule(tuple(sorted(pos)), tuple(sorted(neg)), head, rule_id)
 
 
 def format_rules(rs: RuleSet) -> str:
-    """Print a rule set in the concrete syntax; parses back to an equal set."""
+    """Print a rule set in the concrete syntax, each body as its positive
+    names, then its ``!`` names; parses back to an equal set."""
     return "\n".join(str(rule) for rule in rs.rules) + ("\n" if rs.rules else "")
 
 
@@ -286,21 +260,16 @@ def infer(rs: RuleSet, facts: SymbolSet) -> tuple[SymbolSet, ProofTrace]:
     trace. Deterministic: rules fire in position order within each pass.
     """
     known: set[str] = set(facts.names)
-    steps: list[TraceStep] = []
+    steps: list[HornRule] = []
     for level in sorted({rs.strata[r.head] for r in rs.rules}):
         group = [r for r in rs.rules if rs.strata[r.head] == level]
         while True:
-            fired: dict[str, TraceStep] = {}  # head -> step, in rule order
+            fired: dict[str, HornRule] = {}  # head -> rule, in rule order
             for rule in group:
                 if rule.head in known or rule.head in fired:
                     continue
-                if rule.positive_names <= known and known.isdisjoint(rule.negative_names):
-                    fired[rule.head] = TraceStep(
-                        rule.id,
-                        rule.head,
-                        tuple(sorted(rule.positive_names)),
-                        tuple(sorted(rule.negative_names)),
-                    )
+                if known.issuperset(rule.pos) and known.isdisjoint(rule.neg):
+                    fired[rule.head] = rule
             if not fired:
                 break
             steps.extend(fired.values())
@@ -314,18 +283,9 @@ def replay(trace: ProofTrace, facts: SymbolSet, rs: RuleSet) -> bool:
     by_id = {rule.id: rule for rule in rs.rules}
     known: set[str] = set(facts.names)
     for step in trace.steps:
-        rule = by_id.get(step.rule_id)
-        if rule is None or rule.head != step.head:
+        if by_id.get(step.id) != step or step.head in known:
             return False
-        if frozenset(step.body_pos) != rule.positive_names:
-            return False
-        if frozenset(step.body_neg_checked) != rule.negative_names:
-            return False
-        if step.head in known:
-            return False
-        if not rule.positive_names <= known:
-            return False
-        if not known.isdisjoint(rule.negative_names):
+        if not (known.issuperset(step.pos) and known.isdisjoint(step.neg)):
             return False
         known.add(step.head)
     derived, _ = infer(rs, facts)

@@ -14,7 +14,7 @@ from speclogic import (
     parse_rules,
     replay,
 )
-from speclogic.rules import Literal, ProofTrace
+from speclogic.rules import ProofTrace
 from speclogic.signal import read_json, read_text
 
 
@@ -27,14 +27,14 @@ def test_parse_single_rule():
     assert len(rs) == 1
     rule = rs.rules[0]
     assert rule.head == "signal_class_a"
-    assert rule.body == (Literal("resonance_high"), Literal("amplitude_strong"))
+    assert (rule.pos, rule.neg) == (("amplitude_strong", "resonance_high"), ())
     assert rule.id == "r1"
 
 
 def test_parse_negated_literal():
     rs = parse_rules("pump_shift & !valve_normal => anomaly")
     rule = rs.rules[0]
-    assert rule.body == (Literal("pump_shift"), Literal("valve_normal", negated=True))
+    assert (rule.pos, rule.neg) == (("pump_shift",), ("valve_normal",))
 
 
 def test_parse_named_rules_and_comments():
@@ -121,13 +121,16 @@ def test_syntax_errors_carry_position():
 
 
 def test_duplicate_body_literal_rejected():
-    with pytest.raises(RuleSyntaxError):
-        parse_rules("a & a => b")
+    with pytest.raises(RuleSyntaxError) as err:
+        parse_rules("a & b & !c & !c => d")
+    assert (err.value.line, err.value.column) == (1, 15)
     # a and !a are distinct literals (the rule can just never fire)
     rs = parse_rules("a & !a => b")
     assert len(rs) == 1
-    with pytest.raises(InputError):
-        HornRule((Literal("a"), Literal("a")), "b", "r1")
+    # a rule's bodies are sorted tuples of distinct names
+    for pos, neg in [(("a", "a"), ()), ((), ("c", "a")), (("b", "a"), ())]:
+        with pytest.raises(InputError):
+            HornRule(pos, neg, "d", "r1")
 
 
 def test_duplicate_rule_ids_rejected():
@@ -141,7 +144,7 @@ def test_infer_fires_conjunction():
     derived, trace = infer(rs, facts)
     assert "signal_class_a" in names(derived)
     assert len(trace) == 1
-    assert trace.steps[0].rule_id == "r1"
+    assert trace.steps[0].id == "r1"
 
 
 def test_infer_negation_as_failure():
@@ -189,7 +192,7 @@ def test_all_negative_body():
     rs = parse_rules("!alarm => all_clear")
     derived, trace = infer(rs, SymbolSet.from_names([]))
     assert "all_clear" in names(derived)
-    assert trace.steps[0].body_neg_checked == ("alarm",)
+    assert trace.steps[0].neg == ("alarm",)
 
 
 def test_head_fires_at_most_once():
@@ -198,7 +201,7 @@ def test_head_fires_at_most_once():
     derived, trace = infer(rs, SymbolSet.from_names(["a", "b"]))
     assert "x" in names(derived)
     assert len(trace) == 1
-    assert trace.steps[0].rule_id == "r1"  # position order wins
+    assert trace.steps[0].id == "r1"  # position order wins
 
 
 def test_golden_trace_of_passes_strata_and_shared_heads():
@@ -261,10 +264,10 @@ def test_replay_rejects_tampered_step():
     rs = parse_rules("a => b")
     facts = SymbolSet.from_names(["a"])
     _, trace = infer(rs, facts)
-    step = trace.steps[0]
-    forged = ProofTrace((type(step)("r1", "b", ("zzz",), ()),))
+    assert replay(trace, facts, rs)
+    forged = ProofTrace((HornRule(("zzz",), (), "b", "r1"),))
     assert not replay(forged, facts, rs)
-    forged2 = ProofTrace((type(step)("nope", "b", ("a",), ()),))
+    forged2 = ProofTrace((HornRule(("a",), (), "b", "nope"),))
     assert not replay(forged2, facts, rs)
 
 
@@ -338,10 +341,13 @@ GOOD_STEP = {"rule_id": "main", "head": "c", "body_pos": ["a", "b"], "body_neg_c
         [{**GOOD_STEP, "extra": None}],
         [GOOD_STEP, list(GOOD_STEP.values())],
         GOOD_STEP,
+        [GOOD_STEP, {**GOOD_STEP, "body_pos": ["b", "a"]}],
+        [{**GOOD_STEP, "body_pos": ["a", "a", "b"]}],
+        [{**GOOD_STEP, "body_pos": [], "body_neg_checked": []}],
     ],
     ids=["body_a_string", "rule_id_a_number", "head_a_list", "body_with_a_number",
          "name_outside_the_grammar", "missing_key", "extra_key", "record_a_list",
-         "trace_an_object"],
+         "trace_an_object", "unsorted_body", "repeated_name", "both_bodies_empty"],
 )
 def test_trace_json_rejects_records_reason_does_not_write(tmp_path, records):
     rs = parse_rules("a & b => c @main")

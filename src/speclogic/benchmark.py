@@ -106,7 +106,7 @@ REFERENCE_RULES = """\
 # regime classification over binned resonance features
 resonance_low & width_narrow & amplitude_strong & !resonance_mid & !resonance_high => class_underdamped_low @underdamped_low
 resonance_high & width_narrow & amplitude_strong & !resonance_low & !resonance_mid & !width_ultra_narrow => class_underdamped_high @underdamped_high
-width_broad & amplitude_moderate => class_overdamped @overdamped
+width_broad & amplitude_moderate & !amplitude_strong => class_overdamped @overdamped
 width_medium & amplitude_moderate & !amplitude_strong & !width_broad => class_near_critical @near_critical
 resonance_mid & width_narrow & amplitude_strong & !resonance_low & !resonance_high => class_two_mode_close @two_mode_close
 resonance_low & resonance_high & width_narrow & amplitude_strong => class_two_mode_far @two_mode_far

@@ -1,14 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from speclogic import InputError, run, run_benchmark, synth_oscillator
+from speclogic import InputError, SymbolSet, infer, run, run_benchmark, synth_oscillator
 from speclogic.benchmark import (
+    CLASS_PREFIX,
     MAX_POINTS,
+    REFERENCE_BINNING,
     REGIME_NAMES,
     REGIMES,
     predicted_classes,
     reference_config,
 )
+from speclogic.symbolic import _AXES, NEGLIGIBLE
 
 
 def test_regime_roster():
@@ -106,3 +111,29 @@ def test_clean_short_signals_keep_the_close_pair():
     # cutoff relative to sigma_1 (0.1) merged the pair into one broad atom,
     # and 6 of these 160 clean signals derived class_near_critical
     assert run_benchmark(160, 0.0, seed=7, n=128).accuracy == 1.0
+
+
+def _nonempty_subsets(prefix, bins):
+    """Every non-empty set of the names one reference-binning axis emits."""
+    names = [f"{prefix}_{label}" for label in getattr(REFERENCE_BINNING, bins).labels]
+    return [c for r in range(1, len(names) + 1) for c in itertools.combinations(names, r)]
+
+
+def test_reference_rules_derive_at_most_one_class():
+    # every name set project can emit under the reference binning: none, only
+    # negligible, or at least one name per axis, with or without negligible
+    per_axis = [_nonempty_subsets(prefix, bins) for prefix, _, bins in _AXES]
+    family = [(), (NEGLIGIBLE,)] + [
+        (*omega, *gamma, *amp, *negligible)
+        for omega, gamma, amp in itertools.product(*per_axis)
+        for negligible in ((), (NEGLIGIBLE,))
+    ]
+    assert len(family) == 6512
+    rs = reference_config().load_ruleset()
+    two_class = []
+    for names in family:
+        derived, _ = infer(rs, SymbolSet.from_names(names))
+        classes = sorted(n for n in derived.names if n.startswith(CLASS_PREFIX))
+        if len(classes) > 1:
+            two_class.append((names, classes))
+    assert two_class == [], two_class[:3]

@@ -29,7 +29,7 @@ from .benchmark import (
     synth_oscillator,
 )
 from .errors import InputError, NumericError
-from .pipeline import SIGNAL_BACKENDS, PipelineConfig, detect_anomalies, run
+from .pipeline import SIGNAL_BACKENDS, PipelineConfig, detect_anomalies, estimate_spectra, run
 from .rules import infer, parse_rules
 from .signal import (
     TimeSeries,
@@ -103,14 +103,12 @@ def _claimed(*paths: str | None):
 def _cmd_estimate(args) -> int:
     if not 2 <= args.grid_points <= MAX_POINTS:
         raise InputError(f"--grid-points must lie in [2, {MAX_POINTS}], got {args.grid_points}")
-    # the atoms never depend on the rules, so a config need not name any
-    cfg = replace(_load_config(args), rules_text="")
-    result = run(_load_signal(args.input), cfg)
+    (spectrum,) = estimate_spectra([_load_signal(args.input)], _load_config(args))
     spectrum_out, atoms_out = args.spectrum_out, args.atoms_out
     with _claimed(spectrum_out, atoms_out):
         # the spectrum first, so a range past float64 prints no atoms
         if spectrum_out:
-            atoms = result.atoms.atoms
+            atoms = spectrum.atoms
             lo, hi, scale = 0.0, 1.0, 1.0
             if atoms:
                 # the range at unit scale, so no bound overflows at any dt; the division is exact
@@ -121,8 +119,8 @@ def _cmd_estimate(args) -> int:
             if np.isinf(max(-lo, hi) * scale):
                 raise InputError("the spectrum's frequency range overflows float64")
             grid = np.linspace(lo, hi, args.grid_points) * scale
-            write_csv(spectrum_out, "omega,S", grid, eval_spectrum(result.atoms, grid))
-        _emit(result.atoms.to_dict(), atoms_out)
+            write_csv(spectrum_out, "omega,S", grid, eval_spectrum(spectrum, grid))
+        _emit(spectrum.to_dict(), atoms_out)
     return 0
 
 

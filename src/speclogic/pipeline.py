@@ -25,10 +25,11 @@ and forward-chains the configured rules, capturing every intermediate in a
     recurrence stops once every Ritz pair heavy enough to be a non-negligible
     atom has Paige bound at or below eta/10.
 
-Both signal back-ends estimate through one batch step, of which :func:`run`
-is a batch of one; only the matrix pencil stacks a batch into one fit. Each
-window of :func:`detect_anomalies` gives :func:`run`'s result on that window
-alone, byte for byte. Results are ordered by window start.
+Both signal back-ends estimate through one batch step,
+:func:`estimate_spectra`, of which :func:`run` is a batch of one; only the
+matrix pencil stacks a batch into one fit. Each window of
+:func:`detect_anomalies` gives :func:`run`'s result on that window alone,
+byte for byte. Results are ordered by window start.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .sparse import (
 from .symbolic import BinningConfig, SymbolSet, project
 
 # Placeholders for removed functions: bench/spans.py still wraps these names
-# on this module (they read 0 calls) until ROADMAP item 1 retargets it.
+# on this module (they read 0 calls) until ROADMAP item 13 clears them.
 fit_omp = refine_nls = spectral_density = None
 
 #: Back-ends that estimate time series; ``lanczos`` takes operators instead.
@@ -315,22 +316,33 @@ def _pade_z(x: TimeSeries, pade: PadeSettings) -> SparseSpectrum:
     return replace(sp, health=FitHealth("pade_z", sp.residual_norm, sp.dropped, *fit))
 
 
-def _estimate(series: list[TimeSeries], cfg: PipelineConfig) -> list[SparseSpectrum]:
-    """The configured back-end's spectrum of each preprocessed series, each
-    with the :class:`~speclogic.sparse.FitHealth` its fit filled.
+def estimate_spectra(series: list[TimeSeries], cfg: PipelineConfig) -> list[SparseSpectrum]:
+    """Preprocess every series, then fit each with the configured back-end:
+    one spectrum per series, with the :class:`~speclogic.sparse.FitHealth`
+    its fit filled.
 
-    The matrix pencil fits equal-length series as one stacked batch, and
+    No series is fitted before all are preprocessed, so a preprocess error
+    of a later series raises before an estimate error of an earlier one. The
+    matrix pencil fits equal-length series as one stacked batch, and
     ``pade_z`` fits them one at a time; either way a series' spectrum does
     not depend on the batch it came in.
     """
-    if cfg.backend not in SIGNAL_BACKENDS:
-        raise ConfigError(
-            "the lanczos backend estimates spectra of operators, not time series; "
-            "use run_hermitian"
-        )
-    if cfg.backend == "matrix_pencil":
-        return fit_matrix_pencil(series, 2 * cfg.sparse.k_max, cfg.seed)
-    return [_pade_z(x, cfg.pade) for x in series]
+    segments = []
+    with _stage("preprocess"):
+        for x in series:
+            segments.append(preprocess(x, cfg.preprocess))
+            # residuals are reported at input scale, and an infinite one is not JSON
+            if not math.isfinite(norm2(segments[-1].samples)):
+                raise InputError("the signal's 2-norm overflows float64; rescale it")
+    with _stage("estimate"):
+        if cfg.backend not in SIGNAL_BACKENDS:
+            raise ConfigError(
+                "the lanczos backend estimates spectra of operators, not time series; "
+                "use run_hermitian"
+            )
+        if cfg.backend == "matrix_pencil":
+            return fit_matrix_pencil(segments, 2 * cfg.sparse.k_max, cfg.seed)
+        return [_pade_z(x, cfg.pade) for x in segments]
 
 
 def _atoms_from_ritz(
@@ -390,22 +402,13 @@ def _finish(
     return RunResult(atoms, predicates, derived, trace, diagnostics)
 
 
-def _preprocessed(x: TimeSeries, cfg: PipelineConfig) -> TimeSeries:
-    with _stage("preprocess"):
-        pre = preprocess(x, cfg.preprocess)
-        # residuals are reported at input scale, and an infinite one is not JSON
-        if not math.isfinite(norm2(pre.samples)):
-            raise InputError("the signal's 2-norm overflows float64; rescale it")
-    return pre
-
-
 def run(x: TimeSeries, cfg: PipelineConfig, estimate: SparseSpectrum | None = None) -> RunResult:
     """Execute the full pipeline on a time series.
 
-    With ``estimate``, the spectrum, health record and all, that the batch
-    estimate step gave for ``x`` (see :func:`detect_anomalies`), the run
-    neither preprocesses nor estimates ``x`` and gives the result a run
-    without it would. A spectrum whose record names no back-end, such as one
+    With ``estimate``, the spectrum, health record and all, that
+    :func:`estimate_spectra` gave for ``x`` (see :func:`detect_anomalies`),
+    the run neither preprocesses nor estimates ``x`` and gives the result a
+    run without it would. A spectrum whose record names no back-end, such as one
     read from JSON, came from no fit, and one that another back-end than
     ``cfg.backend`` fitted is not this run's estimate; either raises
     :class:`InputError`.
@@ -414,7 +417,7 @@ def run(x: TimeSeries, cfg: PipelineConfig, estimate: SparseSpectrum | None = No
         ruleset = cfg.load_ruleset()
     with _stage("estimate"):
         if estimate is None:
-            (estimate,) = _estimate([_preprocessed(x, cfg)], cfg)
+            (estimate,) = estimate_spectra([x], cfg)
         elif estimate.health.backend is None:
             raise InputError("the estimate carries no fit's health record; pass a fitted spectrum")
         elif estimate.health.backend != cfg.backend:
@@ -491,11 +494,8 @@ def detect_anomalies(
     flagged = []
     for first in range(0, len(starts), per_chunk):
         chunk = starts[first : first + per_chunk]
-        raw = (TimeSeries(x.samples[start : start + window], x.dt, x.label) for start in chunk)
-        segments = [_preprocessed(segment, cfg) for segment in raw]
-        with _stage("estimate"):
-            estimates = _estimate(segments, cfg)
-        for start, segment, estimate in zip(chunk, segments, estimates):
+        segments = [TimeSeries(x.samples[s : s + window], x.dt, x.label) for s in chunk]
+        for start, segment, estimate in zip(chunk, segments, estimate_spectra(segments, cfg)):
             result = run(segment, cfg, estimate)
             if alert_head in result.derived.names:
                 flagged.append((start, result))

@@ -5,7 +5,7 @@ import stat
 import numpy as np
 import pytest
 
-from speclogic import signal
+from speclogic import pipeline, signal
 from speclogic.benchmark import reference_config
 from speclogic.cli import main
 from speclogic.rules import ProofTrace, infer, parse_rules, replay
@@ -323,6 +323,21 @@ def test_estimate_ignores_rules(workdir):
     out = workdir / "result.json"
     assert main(["run", "--input", str(workdir / "sig.csv"), "--out", str(out)]) == 0
     assert json.loads(atoms.read_text()) == json.loads(out.read_text())["atoms"]
+
+
+def test_estimate_neither_projects_nor_infers(workdir, capsys, monkeypatch):
+    calls = {"project": 0, "infer": 0}
+    for name, real in [("project", pipeline.project), ("infer", pipeline.infer)]:
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    assert main(["estimate", "--input", str(workdir / "sig.csv")]) == 0
+    assert calls == {"project": 0, "infer": 0}
+    # the counters see the calls a run makes
+    assert main(["run", "--input", str(workdir / "sig.csv")]) == 0
+    assert calls == {"project": 1, "infer": 1}
 
 
 #: A decaying signal long enough for the default pencil.

@@ -487,7 +487,7 @@ def test_batched_pencil_equals_each_window_alone(seed):
     cfg = dataclasses.replace(shift_config(), seed=seed)
     for x in detect_streams(seed):
         _, segments = windows_of(x, 128, 16)
-        estimates = pipeline._estimate(segments, cfg)
+        estimates = pipeline.estimate_spectra(segments, cfg)
         assert len(estimates) == len(segments)
         for segment, fit in zip(segments, estimates):
             alone = fit_matrix_pencil(segment, 2 * cfg.sparse.k_max, cfg.seed)
@@ -501,7 +501,7 @@ def test_batched_pade_z_equals_each_window_alone(pade):
     for seed in range(2):
         for x in detect_streams(seed):
             _, segments = windows_of(x, 128, 16)
-            estimates = pipeline._estimate(segments, cfg)
+            estimates = pipeline.estimate_spectra(segments, cfg)
             assert len(estimates) == len(segments)
             for segment, estimate in zip(segments, estimates):
                 assert run(segment, cfg, estimate).to_json() == run(segment, cfg).to_json()

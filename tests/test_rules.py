@@ -121,6 +121,8 @@ def test_syntax_errors_carry_position():
 
 
 def test_duplicate_body_literal_rejected():
+    with pytest.raises(RuleSyntaxError):
+        parse_rules("a & a => b")
     with pytest.raises(RuleSyntaxError) as err:
         parse_rules("a & b & !c & !c => d")
     assert (err.value.line, err.value.column) == (1, 15)

@@ -27,7 +27,6 @@ from .pade import PoleSet, RationalApprox, extract_poles, fit_pade
 from .pipeline import (
     PipelineConfig,
     RunResult,
-    auto_order_sweep,
     detect_anomalies,
     run,
     run_hermitian,
@@ -74,7 +73,6 @@ __all__ = [
     "TimeSeries",
     "TridiagResult",
     "atoms_from_poles",
-    "auto_order_sweep",
     "detect_anomalies",
     "eval_spectrum",
     "extract_poles",

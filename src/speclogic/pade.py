@@ -141,10 +141,10 @@ def fit_pade(c, m: int, n: int) -> RationalApprox:
 
     The n x n moment matrix is a Toeplitz view copied out of c_0..c_{m+n}:
     of those coefficients themselves when m >= n-1, where every index m+i-j
-    is nonnegative (every order of the automatic sweep), or of a copy padded
-    with n leading zeros, which supplies c_k = 0 for k < 0, when m < n-1. It
-    is solved by least squares (:func:`_lstsq`). The numerator is the
-    convolution of 1, b_1..b_n with c_0..c_m, truncated to m+1 terms.
+    is nonnegative, or of a copy padded with n leading zeros, which supplies
+    c_k = 0 for k < 0, when m < n-1. It is solved by least squares
+    (:func:`_lstsq`). The numerator is the convolution of 1, b_1..b_n with
+    c_0..c_m, truncated to m+1 terms.
 
     Requires at least m+n+1 coefficients, and reads and checks for
     finiteness only c_0..c_{m+n}. Raises

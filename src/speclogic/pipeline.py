@@ -7,11 +7,13 @@ and forward-chains the configured rules, capturing every intermediate in a
 
 ``pade_z``
     Treats the samples as power-series coefficients of F(z) = sum x[n] z^n,
-    fits an [m/n] rational approximant, and maps its pole/residue pairs to
-    signal modes. Poles of F sit at the reciprocals of the per-sample mode
-    bases z_k, so the approximant's poles p are inverted (z = 1/p, mode
-    coefficient c = -r/p, exact partial fractions) before the stable-pole
-    mapping of :func:`speclogic.sparse.atoms_from_poles`.
+    fits an [m/n] rational approximant (with ``auto``, the [r-1/r] one whose
+    denominator is the rank-r linear prediction of every sample), and maps
+    its pole/residue pairs to signal modes. Poles of F sit at the
+    reciprocals of the per-sample mode bases z_k, so the approximant's poles
+    p are inverted (z = 1/p, mode coefficient c = -r/p, exact partial
+    fractions) before the stable-pole mapping of
+    :func:`speclogic.sparse.atoms_from_poles`.
 
 ``matrix_pencil``
     Hankel matrix pencil directly on the samples.
@@ -39,24 +41,24 @@ import math
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import svd_s
 
 from .errors import (
     ConfigError,
-    IllConditionedError,
     InputError,
     SpecLogicError,
 )
 from .lanczos import HermitianOp, RitzSpectrum, TridiagResult, lanczos_tridiag, tridiag_eigen
-from .pade import PoleSet, RationalApprox, extract_poles, fit_pade, taylor_coefficients
+from .pade import PoleSet, RationalApprox, extract_poles, fit_pade
 from .rules import ProofTrace, RuleSet, infer, parse_rules
-from .signal import PreprocessConfig, TimeSeries, norm2, nrm2, preprocess, unit_scale
+from .signal import PreprocessConfig, TimeSeries, lapack_errstate, norm2, preprocess, unit_scale
 from .sparse import (
     FitHealth,
     LorentzianAtom,
     SparseSpectrum,
+    _noise_floor_order,
     atoms_from_poles,
     fit_matrix_pencil,
 )
@@ -64,16 +66,13 @@ from .symbolic import BinningConfig, SymbolSet, project
 
 # Placeholders for removed functions: bench/spans.py still wraps these names
 # on this module (they read 0 calls) until ROADMAP item 13 clears them.
-fit_omp = refine_nls = spectral_density = None
+fit_omp = refine_nls = spectral_density = auto_order_sweep = taylor_coefficients = None
 
 #: Back-ends that estimate time series; ``lanczos`` takes operators instead.
 SIGNAL_BACKENDS = ("matrix_pencil", "pade_z")
 BACKENDS = (*SIGNAL_BACKENDS, "lanczos")
 
 MAX_PADE_ORDER = 64
-
-#: Relative residual at which the automatic Padé order sweep stops.
-PADE_RESIDUAL_TOL = 1e-8
 
 #: Hankel-stack entries (float64) one batched pencil fit of
 #: :func:`detect_anomalies` may hold, 8 MiB; a chunk holds at least one
@@ -83,8 +82,9 @@ DETECT_CHUNK_ELEMENTS = 2**20
 
 @dataclass(frozen=True)
 class PadeSettings:
-    """Orders for the rational back-end; ``auto`` sweeps n = 1..n_max until
-    the re-expansion residual is at most ``PADE_RESIDUAL_TOL``."""
+    """Orders for the rational back-end: [m/n], or with ``auto`` [r-1/r],
+    where r <= n_max is the numerical rank of the series' linear prediction
+    over n_max lags (see :func:`_linear_prediction_pade`)."""
 
     m: int = 1
     n: int = 2
@@ -239,58 +239,47 @@ class RunResult:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-class SweepResult(NamedTuple):
-    """Outcome of the automatic order sweep: the chosen fit ``rational``
-    (its orders are ``rational.m`` and ``rational.n``) and the relative
-    residual of its re-expansion."""
-
-    rational: RationalApprox
-    residual: float
-    converged: bool
+def _toeplitz(c: np.ndarray, cols: int) -> np.ndarray:
+    """The (len(c) - cols + 1, cols) Toeplitz matrix t[i, j] = c[cols - 1 + i - j]
+    of the contiguous series ``c``: row i predicts c[cols - 1 + i] from the
+    cols - 1 samples before it. One copy of a strided view of c."""
+    return np.ndarray((c.size - cols + 1, cols), float, c, 8 * (cols - 1), (8, -8)).copy()
 
 
-def auto_order_sweep(c, n_max: int, residual_tol: float) -> SweepResult:
-    """Pick rational orders by increasing n (with m = n-1) until the
-    re-expansion of the fit reproduces the whole available series to
-    ``residual_tol`` (relative). Falls back to the minimal-residual order
-    with ``converged=False`` when no order reaches the tolerance. A
-    re-expansion that overflows counts as an infinite residual. An order
-    whose moment system is ill-conditioned is never chosen; when every
-    order is, the last order's :class:`IllConditionedError` is raised.
-    Norms are BLAS nrm2 (:func:`~speclogic.signal.nrm2`).
+def _linear_prediction_pade(c: np.ndarray, n_max: int) -> tuple[RationalApprox, bool]:
+    """The [n-1/n] approximant of the unit-scale series ``c`` whose
+    denominator is its rank-r linear prediction over every sample, and
+    whether r lies below the cap L (Gonnet, Guttel & Trefethen, SIAM Rev.
+    2013; Kumaresan & Tufts, IEEE Trans. ASSP 1982).
+
+    The Toeplitz matrix of L = min(n_max, (len(c) - 1) // 2) lags, never
+    wide, is the pencil's Hankel matrix of pencil L with its columns
+    reversed, so the pencil's rule :func:`~speclogic.sparse._noise_floor_order`
+    reads its rank r from its singular values, capped at L. The last right
+    singular vector q of the (len(c) - r, r + 1) Toeplitz matrix then solves
+    sum_j q_j c_{k-j} ~ 0 for every k >= r in the least-squares sense.
+    Leading entries of q at or below 1e-14, Gonnet, Guttel and Trefethen's
+    tolerance, are a common factor z of numerator and denominator and are
+    cancelled; the rest, divided by its first entry, is the denominator of
+    degree n <= r, and the numerator is its convolution with c_0..c_{n-1},
+    as in :func:`~speclogic.pade.fit_pade`. Rank 0 gives the [0/0]
+    approximant c_0, which has no poles.
     """
-    c = np.asarray(c, dtype=float)
-    if n_max < 1:
-        raise InputError(f"n_max must be positive, got {n_max}")
-    if c.size < 2:
-        raise InputError(f"need at least 2 series coefficients, got {c.size}")
-    if not np.isfinite(c).all():
-        raise InputError("series coefficients must be finite")
-    scale = nrm2(c)
-    if scale == 0:
-        return SweepResult(fit_pade(c, 0, 1), 0.0, True)
-    best: SweepResult | None = None
-    for n in range(1, min(n_max, c.size // 2) + 1):
-        m = n - 1
-        try:
-            r = fit_pade(c, m, n)
-        except IllConditionedError as exc:
-            error = exc
-            continue
-        tail = taylor_coefficients(r, c.size)
-        # BLAS nrm2 scales as it sums, so a huge but finite tail gives a
-        # finite norm; a tail that overflowed (inf/nan) counts as inf.
-        residual = nrm2(tail - c) / scale
-        if not math.isfinite(residual):
-            residual = math.inf
-        candidate = SweepResult(r, residual, residual <= residual_tol)
-        if candidate.converged:
-            return candidate
-        if best is None or residual < best.residual:
-            best = candidate
-    if best is None:
-        raise error
-    return best
+    lags = min(n_max, (c.size - 1) // 2)
+    with lapack_errstate():
+        _, sv, _ = svd_s(_toeplitz(c, lags + 1))
+    rank = min(int(_noise_floor_order(c[None], sv[None], lags)[0]), lags)
+    denominator = np.ones(1)
+    if rank:
+        with lapack_errstate():
+            _, _, vt = svd_s(_toeplitz(c, rank + 1))
+        # q has unit norm, so some entry clears 1e-14
+        q = vt[-1, np.argmax(np.abs(vt[-1]) > 1e-14) :]
+        denominator = q / q[0]
+    n = denominator.size - 1
+    m = max(n - 1, 0)
+    numerator = np.convolve(denominator, c[: m + 1])[: m + 1]
+    return RationalApprox(numerator, denominator[1:], m, n), rank < lags
 
 
 def _pade_z(x: TimeSeries, pade: PadeSettings) -> SparseSpectrum:
@@ -305,14 +294,14 @@ def _pade_z(x: TimeSeries, pade: PadeSettings) -> SparseSpectrum:
     scale = unit_scale(x.samples)
     c = x.samples / scale
     if pade.auto:
-        rational, residual, converged = auto_order_sweep(c, pade.n_max, PADE_RESIDUAL_TOL)
+        rational, converged = _linear_prediction_pade(c, pade.n_max)
     else:
-        rational, residual, converged = fit_pade(c, pade.m, pade.n), None, None
+        rational, converged = fit_pade(c, pade.m, pade.n), None
     poles = extract_poles(rational)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         modes = PoleSet(1.0 / poles.poles, -poles.residues / poles.poles)
     sp = atoms_from_poles(modes, x.dt, c, scale)
-    fit = pade.auto, (rational.m, rational.n), poles.multiple_poles, residual, converged
+    fit = pade.auto, (rational.m, rational.n), poles.multiple_poles, converged
     return replace(sp, health=FitHealth("pade_z", sp.residual_norm, sp.dropped, *fit))
 
 

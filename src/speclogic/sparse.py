@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -124,8 +125,7 @@ class FitHealth(NamedTuple):
     auto: bool | None = None  # pade_z
     orders: tuple[int, int] | None = None  # pade_z: (m, n)
     multiple_poles: bool | None = None  # pade_z
-    residual: float | None = None  # pade_z with auto: the order sweep's relative residual
-    converged: bool | None = None  # pade_z with auto: whether the sweep met its tolerance
+    converged: bool | None = None  # pade_z with auto: whether the rank rule found its floor
     steps: int | None = None  # lanczos
     breakdown: bool | None = None  # lanczos
     ritz_bound: float | None = None  # lanczos: see pipeline.run_hermitian
@@ -325,12 +325,15 @@ def _orthonormal(a: np.ndarray) -> np.ndarray:
 def _min_norm_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.linalg.pinv(a, rtol=None) @ b`` by ``pinv``'s own steps, bit for
     bit: ``svd_s`` of ``a.conj()``, then 1/s above eps * max(a.shape[-2:]) *
-    max(s), taken with ``initial=0`` for the empty s of an order-0 stack; a
-    subnormal max(s) gives inf or nan entries, without a warning."""
+    max(s), taken with ``initial=0`` for the empty s of an order-0 stack.
+    Unlike ``pinv``'s, the cutoff is floored at the smallest normal float, so
+    a subnormal max(s) is cut, not inverted to an overflow; a product that
+    still overflows gives inf or nan entries, without a warning."""
     with lapack_errstate():
         u, s, vt = svd_s(a.conj(), signature="D->DdD" if a.dtype == complex else "d->ddd")
     with np.errstate(over="ignore", invalid="ignore"):
-        large = s > max(a.shape[-2:]) * EPS * s.max(axis=-1, keepdims=True, initial=0)
+        cutoff = max(a.shape[-2:]) * EPS * s.max(axis=-1, keepdims=True, initial=0)
+        large = s > np.maximum(cutoff, sys.float_info.min)
         np.divide(1, s, where=large, out=s)
         s[~large] = 0
         return np.matmul(vt.mT, s[..., None] * u.mT) @ b
@@ -376,8 +379,9 @@ def _leading_svd(hank: np.ndarray, width: int, seed: int) -> tuple[np.ndarray, n
 
 def _noise_floor_order(s: np.ndarray, svs: np.ndarray, pencil: int) -> np.ndarray:
     """Model order of each window of ``s`` (W, n), whose (n - pencil, pencil +
-    1) Hankel matrix H has the leading singular values ``svs`` (W, width):
-    the number of leading directions r+1 with
+    1) Hankel matrix H, or H with its columns reversed, has the leading
+    singular values ``svs`` (W, width): the number of leading directions r+1
+    with
 
         sigma_{r+1} > ORDER_THRESHOLD * noise(r+1) * (sqrt(m) + sqrt(k)),
         noise(r+1)^2 = (||H||_F^2 - sum_{i <= r+1} sigma_i^2) / ((m-r-1)(k-r-1)),
@@ -386,13 +390,13 @@ def _noise_floor_order(s: np.ndarray, svs: np.ndarray, pencil: int) -> np.ndarra
     no energy to judge it by and is kept. The noise is read from outside the
     candidate direction too, or at r = 0 the whole signal would count as
     noise. ||H||_F^2 is a weighted sum of squared samples, sample j lying on
-    min(j+1, n-j) entries when pencil = n // 2, so no further SVD is needed.
+    min(j+1, n-j, m, k) entries, so no further SVD is needed.
     The outside energy is floored at ROUNDING_FLOOR * eps * ||H||_F^2.
     """
     n = s.shape[1]
     m, k = n - pencil, pencil + 1
     j = np.arange(n)
-    energy = (s * s) @ np.minimum(j + 1, n - j)
+    energy = (s * s) @ np.minimum(np.minimum(j + 1, n - j), min(m, k))
     sq = svs * svs
     floor = ROUNDING_FLOOR * EPS * energy[:, None]
     outside = np.maximum(energy[:, None] - np.cumsum(sq, axis=1), floor)
@@ -444,8 +448,8 @@ def fit_matrix_pencil(
     formed, so the fit is scale invariant; amplitudes and the residual norm
     are at the input's scale, as in :func:`atoms_from_poles`, and each
     spectrum's :class:`FitHealth` holds its residual and drop count. A LAPACK
-    routine that fails, or a shift matrix that overflows (a subnormal solve),
-    raises :class:`~speclogic.errors.ConvergenceError`.
+    routine that fails, or a shift matrix that overflows, raises
+    :class:`~speclogic.errors.ConvergenceError`.
     """
     single = isinstance(x, TimeSeries)
     windows = [x] if single else list(x)
@@ -490,7 +494,7 @@ def fit_matrix_pencil(
         v = vhs[group, :order].mT
         shift = _min_norm_solve(v[:, :pencil], v[:, 1:])
         if not np.isfinite(shift).all():
-            raise ConvergenceError("the pencil's shift matrix overflows: its solve is subnormal")
+            raise ConvergenceError("the pencil's shift matrix overflows float64")
         z = eigenvalues(shift)
 
         # Artifact poles with exploding powers stay out of the Vandermonde

@@ -129,3 +129,11 @@ def test_pade_growth_keeps_nothing_and_explains_nothing(config):
     assert result.atoms.atoms == ()
     assert result.atoms.dropped >= 1
     assert result.atoms.residual_norm == pytest.approx(np.linalg.norm(samples), rel=1e-9)
+
+
+@pytest.mark.parametrize("config", list(_configs()))
+def test_chirp_fit_leaves_no_more_than_the_signal(config):
+    # no back-end keeps atoms that explain the chirp worse than no atom at all
+    samples = _inputs()["chirp"]
+    result = _run_strict(samples, _configs()[config])
+    assert result.atoms.residual_norm <= _norm(samples) * (1 + 1e-12)

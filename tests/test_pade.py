@@ -396,7 +396,7 @@ def wrapped_poles(r):
 
 
 def noisy_mode_series(seed, count=384):
-    """Series coefficients like the auto sweep's: a damped cosine plus noise at unit scale."""
+    """Series coefficients of a noisy signal: a damped cosine plus noise at unit scale."""
     rng = np.random.default_rng(seed)
     t = np.arange(count) * 0.05
     x = np.exp(-0.1 * t) * np.cos(2.0 * t) + 0.01 * rng.standard_normal(count)

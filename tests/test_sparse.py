@@ -642,14 +642,29 @@ def test_min_norm_solve_raises_a_lapack_failure_as_lin_alg_error(dtype):
         sparse._min_norm_solve(a, np.ones((2, 6, 1)))
 
 
-def test_pencil_refuses_a_shift_matrix_that_is_not_finite():
-    # samples of 1e-310 beside a unit peak leave the shift solve a subnormal
-    # largest singular value, whose reciprocal overflows as in np.linalg.pinv,
-    # without a warning; the shift matrix is then refused
-    x = np.full(128, 1e-310)
-    x[-1] = 1.0
+def test_pencil_refuses_a_shift_matrix_that_is_not_finite(monkeypatch):
+    # a shift solve whose product overflows: the shift matrix is refused
+    # before its eigenvalues are taken
+    def overflowing(a, b):
+        return np.full((a.shape[0], a.shape[2], b.shape[2]), np.inf)
+
+    monkeypatch.setattr(sparse, "_min_norm_solve", overflowing)
+    t = np.arange(128) * 0.05
+    x = np.exp(-0.1 * t) * np.cos(2.0 * t)
     with pytest.raises(ConvergenceError, match="shift matrix overflows"):
         fit_matrix_pencil(TimeSeries(x, 0.05), 6)
+
+
+def test_min_norm_solve_of_a_subnormal_matrix_is_zero():
+    # np.linalg.pinv's cutoff eps * 6 * 1e-310 is subnormal and its reciprocal
+    # of s = 1e-310 overflows; floored at the smallest normal float, every
+    # singular value is cut and the minimum-norm solution is 0
+    a = np.zeros((1, 6, 2))
+    a[0, 0, 0] = 1e-310
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = sparse._min_norm_solve(a, np.ones((1, 6, 1)))
+    assert np.array_equal(x, np.zeros((1, 2, 1)))
 
 
 _EDGE = sparse.UNSTABLE_MODULUS

@@ -54,6 +54,15 @@ def pencil_config(rules, **sparse_kw):
     )
 
 
+def auto_config(n_max=8):
+    return PipelineConfig(
+        binning=wide_open_bins(),
+        backend="pade_z",
+        pade=PadeSettings(auto=True, n_max=n_max),
+        rules_text="resonance_high => alert\n",
+    )
+
+
 def test_run_derives_configured_class():
     cfg = pencil_config("resonance_high & width_narrow => unstable_resonance\n")
     result = run(damped_cosine(3.0, 0.2), cfg)
@@ -87,13 +96,7 @@ def test_backends_agree_on_clean_mode():
 
 
 def test_pade_auto_order():
-    cfg = PipelineConfig(
-        binning=wide_open_bins(),
-        backend="pade_z",
-        pade=PadeSettings(auto=True, n_max=6),
-        rules_text="resonance_high => alert\n",
-    )
-    result = run(damped_cosine(2.6, 0.15), cfg)
+    result = run(damped_cosine(2.6, 0.15), auto_config(6))
     assert result.diagnostics["estimate"]["orders"] == [1, 2]
     assert result.atoms.atoms[0].omega == pytest.approx(2.6, rel=1e-6)
 
@@ -621,15 +624,6 @@ def test_detect_errors_stay_typed():
         with pytest.raises(InputError) as err:
             detect_anomalies(detect_streams(0)[0], cfg, short, 16, "anomaly")
         assert err.value.stage == "estimate"
-
-
-def auto_config(n_max=8):
-    return PipelineConfig(
-        binning=wide_open_bins(),
-        backend="pade_z",
-        pade=PadeSettings(auto=True, n_max=n_max),
-        rules_text="resonance_high => alert\n",
-    )
 
 
 def test_linear_prediction_pade_one_pole():
